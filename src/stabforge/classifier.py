@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NotApplicable, UnsupportedParameters
+from .intarith import split_p
 from .localfield import euler_phi_prime_power
 from .padic import PadicInt
-from .unitclasses import multiplicative_order, r1_max, r2_admissible
+from .unitclasses import r1_max, r2_admissible
 
 GRID_P_MAX = 7
 GRID_N_MAX = 12
@@ -83,19 +84,10 @@ class ClassificationReport:
 
 def _split_n(p: int, n: int):
     """(k, m) with n = (p-1) p^(k-1) m, m prime to p; k = 0 when (p-1) does not divide n."""
-    if p == 2:
-        k, m = 1, n
-        while m % 2 == 0:
-            m //= 2
-            k += 1
-        return k, m
     if n % (p - 1):
         return 0, n
-    k, m = 1, n // (p - 1)
-    while m % p == 0:
-        m //= p
-        k += 1
-    return k, m
+    j, m = split_p(n // (p - 1), p)
+    return j + 1, m
 
 
 def _n_alpha(p: int, n: int, alpha: int) -> int:

@@ -342,7 +342,9 @@ def _cmd_epsilon_test(args):
 def _cmd_verify(args):
     with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
-    p_prec = _prec_override(args.p_prec) or 6
+    p_prec = _prec_override(args.p_prec)
+    if p_prec is None:
+        p_prec = 6
     params = OrderParams(args.p, args.n, u=int(args.u), p_prec=p_prec, s_prec=args.s_prec)
     results = run_script(text, params)
     ok = True

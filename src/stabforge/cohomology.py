@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadAction
+from .intarith import factorize, multiplicative_order, split_p
 
 
 # -- integer matrices (lists of rows) --------------------------------------------
@@ -33,10 +34,6 @@ def mat_mul(a, b):
 
 def mat_identity(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _columns(a):
-    return [list(col) for col in zip(*a)] if a and a[0] else [[] for _ in range(0)]
 
 
 def column_echelon_with_transform(a):
@@ -198,17 +195,8 @@ def _canonical_invariants(factors):
         d = abs(d)
         if d in (0, 1):
             continue
-        q = 2
-        while q * q <= d:
-            if d % q == 0:
-                e = 0
-                while d % q == 0:
-                    d //= q
-                    e += 1
-                primes.setdefault(q, []).append(e)
-            q += 1
-        if d > 1:
-            primes.setdefault(d, []).append(1)
+        for q, e in factorize(d):
+            primes.setdefault(q, []).append(e)
     for es in primes.values():
         es.sort(reverse=True)
     width = max((len(v) for v in primes.values()), default=0)
@@ -335,18 +323,6 @@ class CycModule:
         )
 
 
-def h0(m: CycModule) -> CohomologyGroup:
-    return m.h0()
-
-
-def h_odd(m: CycModule) -> CohomologyGroup:
-    return m.h_odd()
-
-
-def h_even(m: CycModule) -> CohomologyGroup:
-    return m.h_even()
-
-
 # -- golden suite -------------------------------------------------------------------
 
 
@@ -374,13 +350,13 @@ def golden_instances():
         n_alpha = n // ((p - 1) * p ** (alpha - 1))
         big = p**n_alpha - 1
         w = big // (p - 1)
-        c = _order_p_minus_1_unit(p, alpha)
+        c = next(g for g in range(2, p**alpha) if g % p and multiplicative_order(g, p**alpha) == p - 1)
         act = [[1, 0, 0], [0, c, 0], [w, 0, 1]]
         m = CycModule(1, (p**alpha, big), act, p - 1)
         out.append((f"L221[p={p},n={n},a={alpha}]", m, (1, _cyc(big)), (0, ()), (0, _cyc(p - 1))))
     for alpha, n in [(1, 3), (1, 2), (1, 6)]:
         m = CycModule(1, (2**alpha, 2**n - 1), _diag_action([1, 1, 2]), n)
-        g = min(2**alpha, 2 ** _two_val(n))
+        g = min(2**alpha, 2 ** split_p(n, 2)[0])
         out.append(
             (f"L231[a={alpha},n={n}]", m, (1, _cyc(2**alpha)), (0, _cyc(g)), (0, _cyc(n, g)))
         )
@@ -391,7 +367,7 @@ def golden_instances():
     # alpha >= 2, u = +-1 mod 8 (x_1 of valuation 1/2, trivial action)
     for alpha, n_alpha in [(2, 3), (2, 4), (3, 2)]:
         m = CycModule(1, (2**alpha, 2**n_alpha - 1), _diag_action([1, 1, 2]), n_alpha)
-        g = min(2**alpha, 2 ** _two_val(n_alpha))
+        g = min(2**alpha, 2 ** split_p(n_alpha, 2)[0])
         out.append(
             (
                 f"L234[a={alpha},na={n_alpha}]",
@@ -448,38 +424,6 @@ def golden_instances():
         m = CycModule(1, (p**w - 1,), [[1, 0], [0, p]], w)
         out.append((f"L248[p={p},w={w}]", m, (1, _cyc(p - 1)), (0, ()), (0, _cyc(w))))
     return out
-
-
-def _two_val(n):
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
-
-
-def _order_p_minus_1_unit(p, alpha):
-    """An integer of multiplicative order exactly p-1 mod p^alpha."""
-    mod = p**alpha
-    for g in range(2, mod):
-        ok = pow(g, p - 1, mod) == 1
-        if not ok:
-            continue
-        good = True
-        q, rest = 2, p - 1
-        while q * q <= rest:
-            if rest % q == 0:
-                if pow(g, (p - 1) // q, mod) == 1:
-                    good = False
-                    break
-                while rest % q == 0:
-                    rest //= q
-            q += 1
-        if good and rest > 1 and pow(g, (p - 1) // rest, mod) == 1:
-            good = False
-        if good:
-            return g
-    raise AssertionError("no unit of order p-1 found")
 
 
 def golden_suite():

@@ -1,0 +1,61 @@
+"""Integer helpers: trial-division factorisation and what is built on it."""
+
+from __future__ import annotations
+
+import math
+
+
+def factorize(n: int):
+    """[(prime, exponent), ...] for n >= 1, primes ascending."""
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            j, n = split_p(n, q)
+            out.append((q, j))
+        q += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def prime_factors(n: int):
+    """The distinct primes dividing n >= 1, ascending."""
+    return [q for q, _ in factorize(n)]
+
+
+def divisors(n: int):
+    """Every positive divisor of n >= 1, ascending."""
+    out = [1]
+    for q, j in factorize(n):
+        out = [d * q**i for d in out for i in range(j + 1)]
+    return tuple(sorted(out))
+
+
+def multiplicative_order(a: int, m: int) -> int:
+    """The order of a in (Z/m)^x."""
+    if m == 1:
+        return 1
+    if math.gcd(a, m) != 1:
+        raise ValueError("order undefined")
+    order = 1
+    for q, j in factorize(m):
+        order *= (q - 1) * q ** (j - 1)
+    for q in prime_factors(order):
+        while order % q == 0 and pow(a, order // q, m) == 1:
+            order //= q
+    return order
+
+
+def split_p(n: int, p: int):
+    """(j, m) with n = p^j m and m prime to p, for n >= 1 and p >= 2."""
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    if p < 2:
+        raise ValueError(f"expected p >= 2, got {p}")
+    j = 0
+    while n % p == 0:
+        n //= p
+        j += 1
+    return j, n

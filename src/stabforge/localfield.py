@@ -5,14 +5,21 @@ beta-degree < f, where pi = zeta_{p^alpha} - 1 is a root of the cyclotomic
 polynomial Q_alpha and beta generates the unramified part.  Coefficients are
 integers mod p^prec shared across the grid; pi-adic digit sequences are a view
 computed on demand.
+
+The residue field F_q = F_p[X]/(g), g = unramified_poly(p, f), is one
+ResidueField per tower (tower.residue).  Its elements, the residue vectors
+of tower elements and the digits of pi-adic expansions, are f-tuples of
+digits in [0, p), lowest power of X first; X is the residue of beta and
+generates F_q^x.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import IndeterminateAtPrecision, NonUnit
+from .intarith import prime_factors
 
 
 def euler_phi_prime_power(p: int, alpha: int) -> int:
@@ -37,104 +44,118 @@ def q_alpha_coeffs(p: int, alpha: int):
     return tuple(coeffs)
 
 
-def _prime_factors(n: int):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+class ResidueField:
+    """F_q = F_p[X]/(g) for a monic g of degree f over F_p.
 
+    Elements are f-tuples of digits in [0, p), lowest power of X first.  For a
+    tower, g = unramified_poly(p, f), X is the residue of beta and it generates
+    F_q^x.  unramified_poly also builds one on each candidate g it tests.
+    """
 
-def _fp_polymul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
+    def __init__(self, p: int, g):
+        self.p = p
+        self.g = tuple(c % p for c in g)
+        self.f = len(g) - 1
+        self.q = p**self.f
+        self.one = self.reduce([1])
+        self.x = self.reduce([0, 1])
 
+    @staticmethod
+    def vectors(p: int, f: int, start: int = 0):
+        """The f-tuples v in code order: code sum v_i p^i = start, start + 1, ..."""
+        for code in range(start, p**f):
+            vec = []
+            for _ in range(f):
+                code, d = divmod(code, p)
+                vec.append(d)
+            yield tuple(vec)
 
-def _fp_polymod(a, g, p):
-    # g monic
-    a = list(a)
-    dg = len(g) - 1
-    for i in range(len(a) - 1, dg - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(dg):
-                a[i - dg + j] = (a[i - dg + j] - c * g[j]) % p
-    while len(a) > dg:
-        a.pop()
-    while len(a) < dg:
-        a.append(0)
-    return a
+    def reduce(self, poly):
+        """The residue of an integer polynomial (lowest coefficient first) mod g."""
+        p, f, g = self.p, self.f, self.g
+        acc = list(poly) + [0] * (f - len(poly))
+        for i in range(len(acc) - 1, f - 1, -1):
+            c = acc[i] % p
+            if c:
+                for j in range(f):
+                    acc[i - f + j] -= c * g[j]
+        return tuple(c % p for c in acc[:f])
 
+    def mul(self, a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return self.reduce(prod)
 
-def _fp_polypow_x(exp, g, p):
-    # X^exp mod g over F_p
-    result = [1] + [0] * (len(g) - 2)
-    base = _fp_polymod([0, 1] + [0] * max(0, len(g) - 3), g, p)
-    while exp:
-        if exp & 1:
-            result = _fp_polymod(_fp_polymul(result, base, p), g, p)
-        base = _fp_polymod(_fp_polymul(base, base, p), g, p)
-        exp >>= 1
-    return result
+    def pow(self, a, k: int):
+        out = self.one
+        while k:
+            if k & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return out
 
-
-def _is_irreducible(g, p):
-    f = len(g) - 1
-    xq = _fp_polypow_x(p**f, g, p)
-    x = [0, 1] + [0] * (f - 2) if f >= 2 else [0]
-    x = (x + [0] * f)[:f]
-    if xq != x:
-        return False
-    for r in _prime_factors(f):
-        xr = _fp_polypow_x(p ** (f // r), g, p)
-        diff = [(a - b) % p for a, b in zip(xr, x)]
-        if all(c == 0 for c in diff):
+    def is_primitive(self) -> bool:
+        """g is irreducible and X generates F_q^x: the tests unramified_poly applies."""
+        x, p, f, q = self.x, self.p, self.f, self.q
+        if self.pow(x, q) != x or any(self.pow(x, p ** (f // r)) == x for r in prime_factors(f)):
             return False
-    return True
+        return all(self.pow(x, (q - 1) // r) != self.one for r in prime_factors(q - 1))
 
+    @cached_property
+    def _basis_traces(self):
+        """Tr(X^i) in F_p for i < f, with Tr(a) = a + a^p + ... + a^(p^(f-1))."""
+        out = []
+        for cur in (self.pow(self.x, i) for i in range(self.f)):
+            acc = 0
+            for _ in range(self.f):
+                acc += cur[0]  # the trace lies in F_p: the other digits cancel
+                cur = self.pow(cur, self.p)
+            out.append(acc % self.p)
+        return out
 
-def _is_primitive(g, p):
-    # the class of X generates the multiplicative group of F_p[X]/(g)
-    f = len(g) - 1
-    order = p**f - 1
-    one = [1] + [0] * (f - 1)
-    for q in _prime_factors(order):
-        if _fp_polypow_x(order // q, g, p) == one:
-            return False
-    return True
+    def solve_trace(self, t: int):
+        """The first residue in code order with trace t.  Trace is F_p-linear and
+        vanishes on X^i for i < i0, the lowest i with Tr(X^i) != 0, so that
+        residue is (t / Tr(X^i0)) X^i0, or 0 when t = 0."""
+        t %= self.p
+        vec = [0] * self.f
+        if t:
+            i0, tau = next((i, c) for i, c in enumerate(self._basis_traces) if c)
+            vec[i0] = t * pow(tau, -1, self.p) % self.p
+        return tuple(vec)
+
+    def solve_norm(self, t: int):
+        """The first residue in code order with norm c^((q-1)/(p-1)) = t in F_p^x."""
+        want = self.reduce([t])
+        exp = (self.q - 1) // (self.p - 1)
+        for vec in self.vectors(self.p, self.f, start=1):
+            if self.pow(vec, exp) == want:
+                return vec
+        raise AssertionError("norm is surjective; unreachable")
+
+    def is_power(self, vec, k: int) -> bool:
+        """Is the unit vec a k-th power, for k dividing q - 1?  X generates F_q^x,
+        so vec = X^e is one iff k | e iff vec^((q-1)/k) = 1."""
+        return self.pow(vec, (self.q - 1) // k) == self.one
 
 
 @lru_cache(maxsize=None)
 def unramified_poly(p: int, f: int):
     """Deterministic defining polynomial for W_f: the lexicographically smallest
     monic polynomial of degree f over F_p that is irreducible with primitive roots.
+    For f = 1 that is X - c for the smallest primitive root c.
     """
     if f == 1:
-        for c in range(1, p):
-            g = [(-c) % p, 1]  # X - c, root c
-            if _is_primitive(g, p):
-                return tuple(g)
-        raise AssertionError("no primitive root found")
-    for code in range(p**f):
-        coeffs, v = [], code
-        for _ in range(f):
-            v, d = divmod(v, p)
-            coeffs.append(d)
-        if coeffs[0] == 0:
-            continue
-        g = coeffs + [1]
-        if _is_irreducible(g, p) and _is_primitive(g, p):
-            return tuple(g)
+        lows = (((-c) % p,) for c in range(1, p))
+    else:
+        lows = (v for v in ResidueField.vectors(p, f) if v[0])
+    for low in lows:
+        if ResidueField(p, low + (1,)).is_primitive():
+            return low + (1,)
     raise AssertionError("no primitive polynomial found")
 
 
@@ -194,6 +215,7 @@ class FieldTower:
         self.e = euler_phi_prime_power(p, alpha)
         self.mod = p**prec
         self.unram = unramified_poly(p, f)  # length f+1, monic
+        self.residue = ResidueField(p, self.unram)
         if alpha >= 1:
             self.q_coeffs = q_alpha_coeffs(p, alpha)
         else:
@@ -324,11 +346,16 @@ class FieldTower:
 
 
 def _eval_poly(coeffs, x: "FieldElem") -> "FieldElem":
-    # Horner; integer coefficients
+    # Horner; coefficients are integers or elements of x's tower
     acc = x.tower.zero()
     for c in reversed(coeffs):
-        acc = acc * x + x.tower.from_int(c) if c else acc * x
+        acc = acc * x + c if c else acc * x
     return acc
+
+
+def _substitute(grid, pi_img: "FieldElem", beta_img: "FieldElem") -> "FieldElem":
+    """sum c_ij beta^j pi^i with pi and beta replaced by their images."""
+    return _eval_poly([_eval_poly(row, beta_img) for row in grid], pi_img)
 
 
 class FieldElem:
@@ -559,14 +586,7 @@ class FieldElem:
             pi_img = tw.zeta() ** s - tw.one()
         else:
             pi_img = tw.pi()
-        beta_img = tw.frobenius_beta(t)
-        acc = tw.zero()
-        for i in range(tw.e - 1, -1, -1):
-            row_val = tw.zero()
-            for j in range(tw.f - 1, -1, -1):
-                row_val = row_val * beta_img + tw.from_int(self.grid[i][j])
-            acc = acc * pi_img + row_val
-        return acc
+        return _substitute(self.grid, pi_img, tw.frobenius_beta(t))
 
     def norm(self, generators) -> "FieldElem":
         """Product over the orbit of the subgroup generated by (s, t) pairs."""
@@ -612,11 +632,4 @@ def change_rings(x: FieldElem, target: FieldTower) -> FieldElem:
         pi_img = target.from_int(src.p)
     else:
         pi_img = target.zeta() ** src.p - target.one()
-    beta_img = target.beta()
-    acc = target.zero()
-    for i in range(src.e - 1, -1, -1):
-        row_val = target.zero()
-        for j in range(src.f - 1, -1, -1):
-            row_val = row_val * beta_img + target.from_int(x.grid[i][j])
-        acc = acc * pi_img + row_val
-    return acc
+    return _substitute(x.grid, pi_img, target.beta())

@@ -8,9 +8,8 @@ folds S^n back to pu, which is central.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import IndeterminateAtPrecision, NonUnit, PrecisionTooLow, UnknownName
+from .errors import IndeterminateAtPrecision, NonUnit, PrecisionTooLow
+from .intarith import prime_factors
 from .localfield import FieldElem, FieldTower, RationalValuation
 from .padic import PadicInt, hensel_sqrt
 
@@ -211,9 +210,6 @@ class OrderElem:
             term = term * (-y)
         return acc * t_inv
 
-    def conjugate_by(self, g: "OrderElem") -> "OrderElem":
-        return g * self * g.invert()
-
     def __repr__(self):
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -238,33 +234,6 @@ def check_verdict(lhs: OrderElem, rhs: OrderElem) -> str:
     return "indeterminate"
 
 
-@dataclass(frozen=True)
-class RelationWord:
-    """A word prod names^exponents compared against a target expression."""
-
-    factors: tuple  # of (name, exponent)
-    target: object = 1  # name, integer, or OrderElem
-
-
-def verify_relation(word: RelationWord, env: dict) -> str:
-    pa = None
-    for name, _ in word.factors:
-        if name not in env:
-            raise UnknownName(name)
-        pa = env[name].params
-    acc = pa.one()
-    for name, k in word.factors:
-        acc = acc * env[name] ** k
-    target = word.target
-    if isinstance(target, str):
-        if target not in env:
-            raise UnknownName(target)
-        target = env[target]
-    elif isinstance(target, int):
-        target = pa.from_int(target)
-    return check_verdict(acc, target)
-
-
 def order_check(x: OrderElem, d: int) -> bool:
     """x has exact multiplicative order d at working precision."""
     v = x.valuation()
@@ -275,17 +244,7 @@ def order_check(x: OrderElem, d: int) -> bool:
         return False
     if verdict == "indeterminate":
         raise IndeterminateAtPrecision("x^d - 1 vanishes below the confidence threshold")
-    q, dd = 2, d
-    while q * q <= dd:
-        if dd % q == 0:
-            if (x ** (d // q) - x.params.one()).is_zero:
-                return False
-            while dd % q == 0:
-                dd //= q
-        q += 1
-    if dd > 1 and (x ** (d // dd) - x.params.one()).is_zero:
-        return False
-    return True
+    return not any((x ** (d // q) - x.params.one()).is_zero for q in prime_factors(d))
 
 
 def hasse_embeds(m: int, n: int) -> bool:
@@ -332,61 +291,6 @@ def example049_elements(params: OrderParams):
     return x, z, zeta3, tau
 
 
-def _fq_pow(x, k, g, p):
-    from .localfield import _fp_polymod, _fp_polymul
-
-    out = _fp_polymod([1], g, p)
-    base = list(x)
-    while k:
-        if k & 1:
-            out = _fp_polymod(_fp_polymul(out, base, p), g, p)
-        base = _fp_polymod(_fp_polymul(base, base, p), g, p)
-        k >>= 1
-    return out
-
-
-def _residue_candidates(p, f, start=0):
-    for code in range(start, p**f):
-        vec, v = [], code
-        for _ in range(f):
-            v, d = divmod(v, p)
-            vec.append(d)
-        yield tuple(vec)
-
-
-def _norm_residue_solve(tower: FieldTower, target: int):
-    """Lexicographically first residue c with N(c) = target in F_p^x;
-    the residue norm is c^((q-1)/(p-1))."""
-    from .localfield import _fp_polymod
-
-    p, f = tower.p, tower.f
-    g = [c % p for c in tower.unram]
-    want = _fp_polymod([target % p], g, p)
-    exp = (p**f - 1) // (p - 1)
-    for vec in _residue_candidates(p, f, start=1):
-        if _fq_pow(vec, exp, g, p) == want:
-            return vec
-    raise AssertionError("norm is surjective; unreachable")
-
-
-def _trace_residue_solve(tower: FieldTower, target: int):
-    """Lexicographically first residue e with Tr(e) = target in F_p."""
-    from .localfield import _fp_polymod
-
-    p, f = tower.p, tower.f
-    g = [c % p for c in tower.unram]
-    want = _fp_polymod([target % p], g, p)
-    for vec in _residue_candidates(p, f):
-        acc = [0] * f
-        cur = list(vec)
-        for _ in range(f):
-            acc = [(x + y) % p for x, y in zip(acc, cur)]
-            cur = _fq_pow(cur, p, g, p)
-        if acc == want:
-            return vec
-    raise AssertionError("trace is surjective; unreachable")
-
-
 def witt_norm(w: FieldElem) -> FieldElem:
     """Norm over the full unramified Galois group (Frobenius powers)."""
     return w.norm([(1, 1)])
@@ -398,7 +302,7 @@ def solve_norm_equation(tower: FieldTower, target: PadicInt) -> FieldElem:
     if not target.is_unit:
         raise NonUnit("norm targets must be units")
     p, prec = tower.p, tower.prec
-    c = tower.teichmuller(_norm_residue_solve(tower, target.val))
+    c = tower.teichmuller(tower.residue.solve_norm(target.val))
     for k in range(1, prec):
         cur = witt_norm(c).grid[0][0]
         diff = (target.val - cur) % p**prec
@@ -409,7 +313,7 @@ def solve_norm_equation(tower: FieldTower, target: PadicInt) -> FieldElem:
             continue
         # N(c(1 + e p^k)) = N(c)(1 + Tr(e) p^k) mod p^(k+1)
         scale = pow(cur, -1, p ** (k + 1))
-        e = _trace_residue_solve(tower, d * scale % p)
+        e = tower.residue.solve_trace(d * scale % p)
         c = c * (tower.one() + tower.teichmuller(e).scale(p**k))
     return c
 

@@ -19,22 +19,11 @@ from .errors import (
     NonUnit,
     UnsupportedParameters,
 )
+from .intarith import divisors, multiplicative_order, prime_factors, split_p
 from .localfield import FieldElem, FieldTower, epsilon_alpha, euler_phi_prime_power
 from .padic import PadicInt
 
 MAX_RESIDUE_DEGREE = 6  # towers beyond f = 6 are rejected as desk-scale overflow
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    if m == 1:
-        return 1
-    if math.gcd(a, m) != 1:
-        raise ValueError("order undefined")
-    o, x = 1, a % m
-    while x != 1:
-        x = x * a % m
-        o += 1
-    return o
 
 
 def default_depth(p: int, alpha: int, k: int) -> int:
@@ -47,10 +36,7 @@ def default_depth(p: int, alpha: int, k: int) -> int:
     k = 4; the exhaustive check in the tests confirms the bound used here.)
     Unramified towers use the p-digit analogue.
     """
-    j, kk = 0, k
-    while kk % p == 0:
-        kk //= p
-        j += 1
+    j, _ = split_p(k, p)
     if alpha == 0:
         return 2 * j + 2 if p == 2 else j + 2
     if j == 0:
@@ -207,37 +193,13 @@ def verify_depth_closure(p: int, alpha: int, k: int, extra: int = None) -> bool:
     return True
 
 
-# -- residue-field discrete logs ------------------------------------------------
-
-
-def _residue_dlog_table(tower: FieldTower):
-    """Map residue vector -> exponent of the residue of beta (a generator)."""
-    table = getattr(tower, "_dlog_table", None)
-    if table is not None:
-        return table
-    from .localfield import _fp_polymod, _fp_polymul
-
-    p, f = tower.p, tower.f
-    g = [c % p for c in tower.unram]
-    gen = _fp_polymod([0, 1] if f > 1 else [(-g[0]) % p], g, p)
-    cur = _fp_polymod([1], g, p)
-    table = {tuple(cur): 0}
-    for i in range(1, p**f - 1):
-        cur = _fp_polymod(_fp_polymul(cur, gen, p), g, p)
-        table[tuple(cur)] = i
-    tower._dlog_table = table
-    return table
+# -- residue-field power classes ------------------------------------------------
 
 
 def residue_power_class_trivial(tower: FieldTower, vec, d: int, r: int) -> bool:
     """Is the residue vec inside <mu_d residues, (F_q^x)^r>?"""
     q1 = tower.p**tower.f - 1
-    if q1 == 1:
-        return True
-    table = _residue_dlog_table(tower)
-    e_x = table[tuple(v % tower.p for v in vec)]
-    g0 = math.gcd(math.gcd(q1 // d, r), q1)
-    return e_x % g0 == 0
+    return tower.residue.is_power(vec, math.gcd(math.gcd(q1 // d, r), q1))
 
 
 # -- the epsilon test and r1 ------------------------------------------------------
@@ -253,12 +215,10 @@ def _normalize_unit(u, p: int, prec: int) -> PadicInt:
     return PadicInt.from_integer(int(u), p, prec)
 
 
-def tower_for_group(p: int, alpha: int, d: int, n_pi: int) -> FieldTower:
-    """The field Q_p(zeta_{p^alpha}, zeta_d), capped at residue degree 6."""
-    f = multiplicative_order(p, d) if d > 1 else 1
-    if f > MAX_RESIDUE_DEGREE:
-        raise UnsupportedParameters(f"residue degree {f} exceeds the desk-scale cap")
-    return FieldTower.for_pi_prec(p, f, alpha, n_pi)
+def _require_positive(**values):
+    for name, v in values.items():
+        if v < 1:
+            raise ValueError(f"{name} must be >= 1, got {v}")
 
 
 def _p_part_membership(p, alpha, f, u: PadicInt, j: int) -> bool:
@@ -292,6 +252,7 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
     part of the unit group is divisible by it); the p-part by filtration
     membership against <zeta_{p^alpha}, U_1^(p-part)>.
     """
+    _require_positive(d=d, r1=r1)
     if alpha < 1:
         raise ValueError("epsilon_test needs alpha >= 1")
     n_alpha = n // euler_phi_prime_power(p, alpha)
@@ -299,10 +260,7 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
         raise ValueError("d must divide p^(n_alpha) - 1")
     if euler_phi_prime_power(p, alpha) % r1:
         raise ValueError("r1 must divide phi(p^alpha)")
-    j, r_prime = 0, r1
-    while r_prime % p == 0:
-        r_prime //= p
-        j += 1
+    j, r_prime = split_p(r1, p)
     f = multiplicative_order(p, d) if d > 1 else 1
     if f > MAX_RESIDUE_DEGREE:
         raise UnsupportedParameters(f"residue degree {f} exceeds the desk-scale cap")
@@ -337,14 +295,10 @@ class R2Verdict:
     field_counts: dict = field(default_factory=dict, compare=False)
 
 
-def _divisors(n: int):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return tuple(out)
-
-
 def r1_max(p: int, n: int, alpha: int, d: int, u) -> R1Verdict:
     """Largest r1 with a valuation-1/r1 extension of F_0 x <pu>, with the
     divisor-closed admissible set and the deciding theorem branch."""
+    _require_positive(d=d)
     if alpha == 0:
         return R1Verdict((1,), 1, "cor202-alpha0" if p > 2 else "alpha-le-1")
     n_alpha = n // euler_phi_prime_power(p, alpha)
@@ -361,14 +315,15 @@ def r1_max(p: int, n: int, alpha: int, d: int, u) -> R1Verdict:
     # the non-triviality of epsilon_alpha for alpha >= 2); prime-to-p divisors
     # of p-1 are admitted by the residue class of epsilon/u
     if d == p**n_alpha - 1:
-        return R1Verdict(_divisors(p - 1), p - 1, "cor202")
-    admissible = tuple(r for r in _divisors(p - 1) if epsilon_test(p, n, alpha, d, u, r))
+        return R1Verdict(divisors(p - 1), p - 1, "cor202")
+    admissible = tuple(r for r in divisors(p - 1) if epsilon_test(p, n, alpha, d, u, r))
     return R1Verdict(admissible, max(admissible), "thm098-residue")
 
 
 def r2_admissible(p: int, n: int, alpha: int, d: int, u, r1: int) -> R2Verdict:
     """Divisors r2 admitting a degree-r2 field extension of Q_p(F_0) inside the
     algebra, via the greatest allowed divisor of n/[Q_p(F_0):Q_p]."""
+    _require_positive(n=n, d=d, r1=r1)
     f = multiplicative_order(p, d) if d > 1 else 1
     deg = euler_phi_prime_power(p, alpha) * f
     if n % deg:
@@ -392,8 +347,8 @@ def r2_admissible(p: int, n: int, alpha: int, d: int, u, r1: int) -> R2Verdict:
     while g > 1:
         r_f //= g
         g = math.gcd(r_f, coprime_to)
-    counts = {r2: math.gcd(p**alpha, r2) * math.gcd(d, r2) for r2 in _divisors(r_f)}
-    return R2Verdict(_divisors(r_f), r_f, branch, counts)
+    counts = {r2: math.gcd(p**alpha, r2) * math.gcd(d, r2) for r2 in divisors(r_f)}
+    return R2Verdict(divisors(r_f), r_f, branch, counts)
 
 
 # -- radical irreducibility --------------------------------------------------------
@@ -413,16 +368,9 @@ def _strip_pi(x: FieldElem, m: int) -> FieldElem:
 def _unit_is_kth_power(x: FieldElem, k: int) -> bool:
     """x a unit of the tower; decide x in (O^x)^k."""
     t = x.tower
-    q1 = t.p**t.f - 1
-    gk = math.gcd(k, q1)
-    if gk > 1:
-        table = _residue_dlog_table(t)
-        if table[x.residue_vector()] % gk:
-            return False
-    j, kk = 0, k
-    while kk % t.p == 0:
-        kk //= t.p
-        j += 1
+    if not t.residue.is_power(x.residue_vector(), math.gcd(k, t.p**t.f - 1)):
+        return False
+    j, _ = split_p(k, t.p)
     if j == 0:
         return True
     if (t.p == 2 and j > 2) or (t.p > 2 and j > 1):
@@ -455,7 +403,7 @@ def radical_irreducible(a: FieldElem, r: int) -> bool:
     if r < 2:
         raise ValueError("r must be >= 2")
     t = a.tower
-    for q in _prime_divisors(r):
+    for q in prime_factors(r):
         if is_kth_power(a, q):
             return False
     if r % 4 == 0:
@@ -474,15 +422,3 @@ def radical_irreducible(a: FieldElem, r: int) -> bool:
                 return False
     return True
 
-
-def _prime_divisors(n: int):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

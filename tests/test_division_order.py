@@ -6,14 +6,12 @@ from stabforge.errors import IndeterminateAtPrecision, UnknownName
 from stabforge.localfield import RationalValuation
 from stabforge.order import (
     OrderParams,
-    RelationWord,
     check_verdict,
     embed_q8,
     example049_elements,
     hasse_embeds,
     order_check,
     solve_norm_equation,
-    verify_relation,
     witt_norm,
     xi_generator,
 )
@@ -173,14 +171,11 @@ def test_solve_norm_equation_randomized():
 
 
 def test_verify_relation_words():
-    pa = params22()
-    i, j, k = embed_q8(pa)
-    env = {"i": i, "j": j, "k": k, "omega": pa.omega(), "S": pa.s()}
-    assert verify_relation(RelationWord((("i", 2),), -1), env) == "holds"
-    assert verify_relation(RelationWord((("i", 1), ("j", 1), ("i", -1), ("j", 1)), 1), env) == "holds"
-    assert verify_relation(RelationWord((("S", 1), ("omega", 1), ("S", -1), ("omega", -1)), 1), env) == "fails"
+    script = "check i^2 == -1\ncheck i * j * i^-1 * j == 1\ncheck S * omega * S^-1 * omega^-1 == 1"
+    out = run_script(script, params22())
+    assert [r.verdict for r in out] == ["holds", "holds", "fails"]
     with pytest.raises(UnknownName):
-        verify_relation(RelationWord((("nope", 1),), 1), env)
+        run_script("check nope == 1", params22())
 
 
 def test_hasse_embeds():
