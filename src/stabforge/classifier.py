@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NotApplicable, UnsupportedParameters
-from .intarith import split_p
+from .intarith import divisors, split_p
 from .localfield import euler_phi_prime_power
-from .padic import PadicInt
 from .unitclasses import r1_max, r2_admissible
 
 GRID_P_MAX = 7
@@ -49,18 +48,12 @@ class ClassificationInput:
     p: int
     n: int
     u_mod: int  # u mod p^2 for odd p, u mod 8 for p = 2
-    u: PadicInt = None
 
     def __post_init__(self):
         mod = 8 if self.p == 2 else self.p**2
         object.__setattr__(self, "u_mod", self.u_mod % mod)
         if math.gcd(self.u_mod, self.p) != 1:
             raise ValueError("u must be a unit residue")
-        if self.u is not None:
-            from .padic import residue_datum
-
-            if residue_datum(self.u, mod) != self.u_mod:
-                raise ValueError("full unit disagrees with the residue datum")
 
 
 @dataclass
@@ -150,21 +143,16 @@ def maximal_in_Sn(p: int, n: int) -> ClassificationReport:
 def abelian_classes(p: int, n: int) -> ClassificationReport:
     """All abelian classes, indexed by pairs (alpha, d | p^(n_alpha) - 1)."""
     k, _m = _split_n(p, n)
-    if p > 2 and n % (p - 1):
-        k = 0
     pairs = []
     classes = []
     for alpha in range(0, k + 1):
-        na = _n_alpha(p, n, alpha)
-        top = p**na - 1
-        for d in range(1, top + 1):
-            if top % d == 0:
-                pairs.append((alpha, d))
-                classes.append(
-                    GroupClassLabel(
-                        p**alpha * d, f"C{p**alpha * d}", "cyclic", f"cor212[alpha={alpha},d={d}]"
-                    )
+        for d in divisors(p ** _n_alpha(p, n, alpha) - 1):
+            pairs.append((alpha, d))
+            classes.append(
+                GroupClassLabel(
+                    p**alpha * d, f"C{p**alpha * d}", "cyclic", f"cor212[alpha={alpha},d={d}]"
                 )
+            )
     return ClassificationReport({"p": p, "n": n}, classes, pairs=pairs)
 
 

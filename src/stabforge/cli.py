@@ -3,21 +3,20 @@ epsilon-test, verify, cohomology.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts or failed
 checks, 2 for usage errors.  JSON output is byte-deterministic for identical
-inputs.  STABFORGE_PREC_OVERRIDE overrides default precisions in CI.
+inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import classifier, cohomology, unitclasses
 from .errors import StabforgeError
 from .localfield import FieldElem, FieldTower, epsilon_alpha
 from .order import OrderParams
-from .padic import PadicInt, parse_literal
+from .padic import parse_literal
 from .relscript import run_script
 
 
@@ -44,23 +43,16 @@ def _emit_table(obj, prefix=""):
         sys.stdout.write(f"{prefix}{obj}\n")
 
 
-def _prec_override(value):
-    env = os.environ.get("STABFORGE_PREC_OVERRIDE")
-    if value is not None:
-        return value
-    if env:
-        return int(env)
-    return None
-
-
-def _parse_unit(text, p, prec):
+def _parse_unit(text, p):
+    """An integer --u as an int, a 'p:' literal as a PadicInt at its own
+    precision; unitclasses._normalize_unit checks it against what a test needs."""
     text = text.strip()
-    if text.startswith("p:"):
-        x = parse_literal(text)
-        if x.p != p:
-            raise ValueError("unit literal has the wrong prime")
-        return x
-    return PadicInt.from_integer(int(text), p, prec)
+    if not text.startswith("p:"):
+        return int(text)
+    x = parse_literal(text)
+    if x.p != p:
+        raise ValueError("unit literal has the wrong prime")
+    return x
 
 
 def _parse_field_elem(tower, text):
@@ -214,7 +206,7 @@ def build_parser():
     v.add_argument("--p", type=int, default=2)
     v.add_argument("--n", type=int, default=2)
     v.add_argument("--u", default="1")
-    v.add_argument("--p-prec", type=int, default=None)
+    v.add_argument("--p-prec", type=int, default=6)
     v.add_argument("--s-prec", type=int, default=None)
 
     ch = sub.add_parser(
@@ -260,9 +252,7 @@ def _cmd_classify(args):
 
 
 def _cmd_epsilon(args):
-    n_pi = _prec_override(args.pi_prec)
-    if n_pi is None:
-        n_pi = args.p**args.alpha + 2
+    n_pi = args.p**args.alpha + 2 if args.pi_prec is None else args.pi_prec
     tower = FieldTower.for_pi_prec(args.p, args.f, args.alpha, n_pi)
     eps = epsilon_alpha(tower)
     out = {
@@ -277,9 +267,7 @@ def _cmd_epsilon(args):
 
 
 def _cmd_expand(args):
-    n_pi = _prec_override(args.pi_prec)
-    if n_pi is None:
-        n_pi = args.p**args.alpha + 2
+    n_pi = args.p**args.alpha + 2 if args.pi_prec is None else args.pi_prec
     tower = FieldTower.for_pi_prec(args.p, args.f, args.alpha, n_pi)
     x = _parse_field_elem(tower, args.elem)
     digits = x.pi_digit_expansion(n_pi)
@@ -294,7 +282,7 @@ def _cmd_membership(args):
         x = _parse_field_elem(tower, args.elem)
     else:
         x = epsilon_alpha(tower)
-    u = _parse_unit(args.u, args.p, tower.prec)
+    u = unitclasses._normalize_unit(_parse_unit(args.u, args.p), args.p, tower.prec)
     x = x * tower.from_int(u.val).invert()
     span = unitclasses.subgroup_span(quotient, args.k, include_mu_torsion=not args.no_mu)
     member = unitclasses.membership(x, span)
@@ -311,14 +299,14 @@ def _cmd_membership(args):
 
 
 def _cmd_r1(args):
-    u = _parse_unit(args.u, args.p, 3 if args.p == 2 else 2)
+    u = _parse_unit(args.u, args.p)
     v = unitclasses.r1_max(args.p, args.n, args.alpha, args.d, u)
     _emit({"admissible": list(v.admissible), "maximal": v.maximal, "branch": v.branch}, args.mode)
     return 0
 
 
 def _cmd_r2(args):
-    u = _parse_unit(args.u, args.p, 3 if args.p == 2 else 2)
+    u = _parse_unit(args.u, args.p)
     v = unitclasses.r2_admissible(args.p, args.n, args.alpha, args.d, u, args.r1)
     _emit(
         {
@@ -333,7 +321,7 @@ def _cmd_r2(args):
 
 
 def _cmd_epsilon_test(args):
-    u = _parse_unit(args.u, args.p, max(3, args.r1 + 2))
+    u = _parse_unit(args.u, args.p)
     ok = unitclasses.epsilon_test(args.p, args.n, args.alpha, args.d, u, args.r1)
     _emit({"trivial": ok, "r1": args.r1, "branch": "thm098"}, args.mode)
     return 0 if ok else 1
@@ -342,10 +330,7 @@ def _cmd_epsilon_test(args):
 def _cmd_verify(args):
     with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
-    p_prec = _prec_override(args.p_prec)
-    if p_prec is None:
-        p_prec = 6
-    params = OrderParams(args.p, args.n, u=int(args.u), p_prec=p_prec, s_prec=args.s_prec)
+    params = OrderParams(args.p, args.n, u=int(args.u), p_prec=args.p_prec, s_prec=args.s_prec)
     results = run_script(text, params)
     ok = True
     for r in results:

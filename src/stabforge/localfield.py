@@ -6,6 +6,10 @@ polynomial Q_alpha and beta generates the unramified part.  Coefficients are
 integers mod p^prec shared across the grid; pi-adic digit sequences are a view
 computed on demand.
 
+The order of an element x is its integer pi-level (FieldElem.pi_level): the
+largest i with x in pi^i O, so a unit 1 + x lies in U_i = 1 + pi^i O and not
+in U_(i+1).  The normalized valuation, v(p) = 1, is pi-level / e.
+
 The residue field F_q = F_p[X]/(g), g = unramified_poly(p, f), is one
 ResidueField per tower (tower.residue).  Its elements, the residue vectors
 of tower elements and the digits of pi-adic expansions, are f-tuples of
@@ -16,10 +20,11 @@ generates F_q^x.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import IndeterminateAtPrecision, NonUnit
-from .intarith import prime_factors
+from .intarith import prime_factors, split_p
 
 
 def euler_phi_prime_power(p: int, alpha: int) -> int:
@@ -159,48 +164,6 @@ def unramified_poly(p: int, f: int):
     raise AssertionError("no primitive polynomial found")
 
 
-class RationalValuation:
-    """A value of the normalized valuation, v(p) = 1, as a reduced fraction."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int):
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        g = math.gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalValuation is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = RationalValuation(other, 1)
-        if isinstance(other, tuple):
-            other = RationalValuation(*other)
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __lt__(self, other):
-        if isinstance(other, int):
-            other = RationalValuation(other, 1)
-        return self.num * other.den < other.num * self.den
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = RationalValuation(other, 1)
-        return RationalValuation(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __repr__(self):
-        return f"{self.num}/{self.den}" if self.den != 1 else f"{self.num}"
-
-
 class FieldTower:
     """Shared context: the field Q_p(zeta_{p^alpha}, zeta_{p^f-1}) at a fixed
     coefficient precision (all element coefficients live mod p^prec)."""
@@ -227,6 +190,8 @@ class FieldTower:
     def for_pi_prec(cls, p: int, f: int, alpha: int, n_pi: int) -> "FieldTower":
         """Tower whose coefficient precision supports pi-adic work mod pi^n_pi,
         with two guard digits for exact divisions."""
+        if n_pi < 1:
+            raise ValueError(f"pi-adic precision must be >= 1, got {n_pi}")
         e = euler_phi_prime_power(p, alpha)
         return cls(p, f, alpha, -(-n_pi // e) + 2)
 
@@ -497,29 +462,34 @@ class FieldElem:
 
     # -- valuation and digits ---------------------------------------------------
 
-    def valuation(self) -> RationalValuation:
-        """min over nonzero grid terms of i/e + v_p(c); v(p) = 1."""
+    def pi_level(self) -> int:
+        """The pi-adic order e * v(self): min over nonzero grid terms of i + e v_p(c)."""
         t = self.tower
-        best = None
-        for i, row in enumerate(self.grid):
-            for c in row:
-                if c:
-                    vp = 0
-                    while c % t.p == 0:
-                        c //= t.p
-                        vp += 1
-                    cand = RationalValuation(i + t.e * vp, t.e)
-                    if best is None or cand < best:
-                        best = cand
-        if best is None:
+        row_gcds = (math.gcd(*row) for row in self.grid)  # v_p of a row's gcd is its minimum
+        levels = [i + t.e * split_p(g, t.p)[0] for i, g in enumerate(row_gcds) if g]
+        if not levels:
             raise IndeterminateAtPrecision("all tracked digits vanish")
-        return best
+        return min(levels)
+
+    def leading_residue(self, level: int):
+        """The residue vector of self / pi^level, for level <= pi_level().
+
+        Only grid row level % e reaches it.  With v = level // e, that row's
+        coefficients are divisible by p^v, and p = (-p/q_0) * pi^e * w with
+        w = 1 mod pi and q_0 = q_coeffs[0] (p when alpha >= 1, -p when alpha = 0).
+        """
+        t = self.tower
+        v, i = divmod(level, t.e)
+        sign, pv = (-t.p // t.q_coeffs[0]) ** v, t.p**v
+        return tuple(sign * (c // pv) % t.p for c in self.grid[i])
+
+    def valuation(self) -> Fraction:
+        """The normalized valuation, v(p) = 1."""
+        return Fraction(self.pi_level(), self.tower.e)
 
     def pi_valuation_at_least(self, n: int) -> bool:
         """True when v(self) >= n/e at the tracked precision (zero counts as yes)."""
-        if self.is_zero:
-            return True
-        return RationalValuation(n, self.tower.e) <= self.valuation()
+        return self.is_zero or self.pi_level() >= n
 
     def congruent(self, other, n_pi: int) -> bool:
         """self = other mod pi^n_pi."""

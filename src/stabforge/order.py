@@ -8,9 +8,11 @@ folds S^n back to pu, which is central.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import IndeterminateAtPrecision, NonUnit, PrecisionTooLow
 from .intarith import prime_factors
-from .localfield import FieldElem, FieldTower, RationalValuation
+from .localfield import FieldElem, FieldTower
 from .padic import PadicInt, hensel_sqrt
 
 
@@ -24,7 +26,7 @@ class OrderParams:
         self.s_prec = s_prec if s_prec is not None else 2 * n
         if self.s_prec < 1:
             raise ValueError("s_prec must be >= 1")
-        self.u = u if isinstance(u, PadicInt) else PadicInt.from_integer(u, p, p_prec)
+        self.u = u if isinstance(u, PadicInt) else PadicInt(p, p_prec, u)
         if not self.u.is_unit:
             raise NonUnit("u must be a unit")
         self.witt = FieldTower(p, n, 0, p_prec)
@@ -169,18 +171,18 @@ class OrderElem:
         for i, c in enumerate(self.coeffs):
             if c.is_zero:
                 continue
-            v = c.valuation().num  # integral for Witt coefficients
+            v = c.pi_level()  # v_p: the Witt tower is unramified
             cand = (v * self.params.n + i, i, v)
             if best is None or cand < best:
                 best = cand
         return best
 
-    def valuation(self) -> RationalValuation:
+    def valuation(self) -> Fraction:
         lead = self._leading()
         if lead is None:
             raise IndeterminateAtPrecision("all tracked digits vanish")
         total, _i, _v = lead
-        return RationalValuation(total + self.shift * self.params.n, self.params.n)
+        return Fraction(total + self.shift * self.params.n, self.params.n)
 
     def invert(self) -> "OrderElem":
         """Two-sided inverse: peel the minimal term, then a geometric series."""
@@ -236,8 +238,7 @@ def check_verdict(lhs: OrderElem, rhs: OrderElem) -> str:
 
 def order_check(x: OrderElem, d: int) -> bool:
     """x has exact multiplicative order d at working precision."""
-    v = x.valuation()
-    if not v == RationalValuation(0, 1):
+    if x.valuation() != 0:
         return False
     verdict = check_verdict(x**d, x.params.one())
     if verdict == "fails":
@@ -263,7 +264,7 @@ def embed_q8(params: OrderParams):
     if params.p_prec < 4:
         raise PrecisionTooLow("need at least 4 digits for the square root of -7")
     t = params.witt
-    rho = hensel_sqrt(PadicInt.from_integer(-7, 2, params.p_prec))
+    rho = hensel_sqrt(PadicInt(2, params.p_prec, -7))
     w = t.omega()
     third = t.from_int(3).invert()
     rho_inv = t.from_int(rho.val).invert()
@@ -323,9 +324,9 @@ def xi_generator(params: OrderParams, target_u=None) -> OrderElem:
     if target_u is None:
         target_u = params.u
     if not isinstance(target_u, PadicInt):
-        target_u = PadicInt.from_integer(int(target_u), params.p, params.p_prec)
+        target_u = PadicInt(params.p, params.p_prec, int(target_u))
     want = target_u * params.u.invert()
-    if want == PadicInt.from_integer(1, params.p, want.prec):
+    if want == PadicInt(params.p, want.prec, 1):
         return params.s()
     c = solve_norm_equation(params.witt, want)
     return params.from_witt(c) * params.s()

@@ -7,6 +7,7 @@ result at the minimum precision of its operands.  No floating point anywhere.
 from __future__ import annotations
 
 from .errors import InsufficientPrecision, NonUnit, NotASquare
+from .intarith import split_p
 
 
 class PadicInt:
@@ -28,10 +29,6 @@ class PadicInt:
         raise AttributeError("PadicInt is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_integer(z: int, p: int, prec: int) -> "PadicInt":
-        return PadicInt(p, prec, z)
 
     @staticmethod
     def from_digits(digits, p: int) -> "PadicInt":
@@ -68,11 +65,7 @@ class PadicInt:
         """v_p at tracked precision, or None if all digits vanish."""
         if self.val == 0:
             return None
-        v, x = 0, self.val
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
+        return split_p(self.val, self.p)[0]
 
     def reduce(self, prec: int) -> "PadicInt":
         if prec > self.prec:
@@ -156,11 +149,6 @@ class PadicInt:
         return format_literal(self)
 
 
-def from_integer(z: int, p: int, prec: int) -> PadicInt:
-    """z mod p^N in canonical digits."""
-    return PadicInt.from_integer(z, p, prec)
-
-
 def teichmuller_lift(c: int, p: int, prec: int) -> PadicInt:
     """The unique (p-1)-st root of unity congruent to c mod p.
 
@@ -236,16 +224,6 @@ def unit_decompose(u: PadicInt):
         return PadicInt(2, u.prec, -1), -u
     t = teichmuller_lift(u.val % u.p, u.p, u.prec)
     return t, u * t.invert()
-
-
-def residue_datum(u: PadicInt, modulus: int) -> int:
-    """u mod modulus as an integer, for modulus in {p^2, 8}."""
-    allowed = {4, 8} if u.p == 2 else {u.p**2}
-    if modulus not in allowed:
-        raise ValueError(f"modulus must be one of {sorted(allowed)}")
-    if u.p**u.prec < modulus:
-        raise InsufficientPrecision(f"precision {u.prec} does not determine u mod {modulus}")
-    return u.val % modulus
 
 
 def parse_literal(text: str) -> PadicInt:

@@ -113,7 +113,7 @@ def base_environment(params: OrderParams) -> dict:
     env = {"S": params.s(), "omega": params.omega()}
     if params.p == 2:
         try:
-            env["rho"] = params.scalar(hensel_sqrt(PadicInt.from_integer(-7, 2, params.p_prec)))
+            env["rho"] = params.scalar(hensel_sqrt(PadicInt(2, params.p_prec, -7)))
         except Exception:
             pass
     if (params.p, params.n) == (2, 2) and params.u.val == 1:

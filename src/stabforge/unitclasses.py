@@ -93,13 +93,10 @@ class SubgroupEchelon:
         y = x - t.one()
         if y.is_zero:
             return None
-        v = y.valuation()
-        level = v.num * (t.e // v.den)
+        level = y.pi_level()
         if level >= self.quotient.depth:
             return None
-        for _ in range(level):
-            y = y.div_pi()
-        return level, y.residue_vector()
+        return level, y.leading_residue(level)
 
     def reduce(self, x: FieldElem):
         """Divide out entries greedily; returns the reduced unit (1 if member)."""
@@ -206,13 +203,18 @@ def residue_power_class_trivial(tower: FieldTower, vec, d: int, r: int) -> bool:
 
 
 def _normalize_unit(u, p: int, prec: int) -> PadicInt:
+    """u (an integer, or a PadicInt known to at least prec digits) as a unit mod p^prec."""
     if isinstance(u, PadicInt):
         if u.p != p:
             raise ValueError("unit has the wrong prime")
         if u.prec < prec:
             raise UnsupportedParameters("unit precision too low for the requested test")
-        return u.reduce(prec)
-    return PadicInt.from_integer(int(u), p, prec)
+        u = u.reduce(prec)
+    else:
+        u = PadicInt(p, prec, int(u))
+    if not u.is_unit:
+        raise NonUnit(f"u must be a unit, got {u.val} mod {p}^{prec}")
+    return u
 
 
 def _require_positive(**values):
@@ -265,8 +267,6 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
     if f > MAX_RESIDUE_DEGREE:
         raise UnsupportedParameters(f"residue degree {f} exceeds the desk-scale cap")
     u = _normalize_unit(u, p, max(3, j + 2))
-    if not u.is_unit:
-        raise NonUnit("u must be a unit")
     # prime-to-p part: residue of epsilon/u against <mu_d, (F_q^x)^r'>
     if r_prime > 1:
         small = FieldTower(p, f, alpha, 2)
@@ -354,11 +354,6 @@ def r2_admissible(p: int, n: int, alpha: int, d: int, u, r1: int) -> R2Verdict:
 # -- radical irreducibility --------------------------------------------------------
 
 
-def _pi_units_valuation(x: FieldElem) -> int:
-    v = x.valuation()
-    return v.num * (x.tower.e // v.den)
-
-
 def _strip_pi(x: FieldElem, m: int) -> FieldElem:
     for _ in range(m):
         x = x.div_pi()
@@ -386,7 +381,7 @@ def is_kth_power(x: FieldElem, k: int, pi_shift: int = 0) -> bool:
     """Decide x * pi^pi_shift in (K^x)^k for the tower's fraction field."""
     if x.is_zero:
         raise IndeterminateAtPrecision("zero at working precision")
-    m = _pi_units_valuation(x)
+    m = x.pi_level()
     if (m + pi_shift) % k:
         return False
     return _unit_is_kth_power(_strip_pi(x, m), k)

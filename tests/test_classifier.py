@@ -46,6 +46,23 @@ def test_abelian_classes():
     assert all(a == 0 for a, _ in rep.pairs)
 
 
+def test_abelian_classes_match_range_scan():
+    # the definition: alpha = 0 or phi(p^alpha) | n, and every d <= p^(n_alpha) - 1 dividing it
+    for p in (2, 3, 5, 7):
+        n = 1
+        while p**n <= 10**4:
+            want = []
+            for alpha in range(n + 2):
+                e = euler_phi_prime_power(p, alpha)
+                if n % e == 0:
+                    top = p ** (n // e) - 1
+                    want += [(alpha, d) for d in range(1, top + 1) if top % d == 0]
+            rep = abelian_classes(p, n)
+            assert rep.pairs == want, (p, n)
+            assert [c.order for c in rep.classes] == [p**alpha * d for alpha, d in want]
+            n += 1
+
+
 def test_theorem_261_all_residues():
     for u in (1, 4, 7):
         rep = maximal_in_Gn(ClassificationInput(3, 2, u))

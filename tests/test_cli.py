@@ -1,9 +1,13 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from stabforge.intarith import divisors
+from stabforge.unitclasses import r1_max
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPTS = SRC / "stabforge" / "scripts"  # the working directory, so "q8.rel" resolves
@@ -23,16 +27,39 @@ REJECTED = [
     ["epsilon-test", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--r1", "0"],
     # precision 0 is invalid, not a request for the default 6
     ["verify", "q8.rel", "--p-prec", "0"],
+    # a non-positive pi-adic precision has no digits to print
+    ["epsilon", "--p", "3", "--alpha", "1", "--pi-prec", "-3"],
+    ["expand", "--p", "3", "--alpha", "1", "--elem", "1", "--pi-prec", "0"],
+    # u = 2 is not a 2-adic unit
+    ["r1", "--p", "2", "--n", "4", "--alpha", "2", "--d", "1", "--u", "2"],
 ]
+
+
+def run_cli(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "stabforge.cli", *argv], capture_output=True, text=True, timeout=10, env=env, cwd=SCRIPTS
+    )
 
 
 @pytest.mark.parametrize("argv", REJECTED, ids=[" ".join(a) for a in REJECTED])
 def test_bad_input_exits_2_with_message(argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.pop("STABFORGE_PREC_OVERRIDE", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "stabforge.cli", *argv], capture_output=True, text=True, timeout=10, env=env, cwd=SCRIPTS
-    )
+    proc = run_cli(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_r1_odd_p_integer_u_answers():
+    # an integer --u reaches epsilon_test at the precision it needs
+    proc = run_cli(["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "1", "--u", "1"])
+    assert proc.returncode == 0, proc.stderr
+    v = r1_max(3, 2, 1, 1, 1)
+    assert json.loads(proc.stdout) == {"admissible": list(v.admissible), "maximal": v.maximal, "branch": v.branch}
+
+
+def test_abelian_classes_enumerate_divisors_quickly():
+    # 7^10 - 1 = 2.8e8 candidates to scan but only 80 divisors; 6 does not divide 10, so alpha = 0 only
+    proc = run_cli(["classify", "--p", "7", "--n", "10", "--abelian"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pairs"] == [[0, d] for d in divisors(7**10 - 1)]

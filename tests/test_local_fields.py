@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,6 @@ from stabforge.errors import IndeterminateAtPrecision, NonUnit
 from stabforge.localfield import (
     FieldElem,
     FieldTower,
-    RationalValuation,
     change_rings,
     epsilon_alpha,
     euler_phi_prime_power,
@@ -309,7 +309,7 @@ def test_norm_eq_272_congruence():
     nrm = x.norm([(-1, 0)])
     diff = nrm - t.one()
     assert diff.pi_valuation_at_least(2 * t.e)  # v >= 1: mod 4 needs v >= 2... checked below
-    assert (nrm - t.one()).valuation() >= RationalValuation(2, 1)
+    assert (nrm - t.one()).valuation() >= Fraction(2, 1)
 
 
 def test_norm_multiplicative_and_invariant():
@@ -331,7 +331,7 @@ def test_change_rings():
     img = change_rings(src.pi(), dst)
     diff = img - dst.pi() ** 3
     # v(p pi) = 1 + 1/18 = 19/18
-    assert diff.is_zero or RationalValuation(19, 18) <= diff.valuation()
+    assert diff.is_zero or Fraction(19, 18) <= diff.valuation()
     assert change_rings(src.from_int(3), dst) == dst.from_int(3)
 
 
@@ -358,12 +358,63 @@ def test_change_rings_ring_hom_randomized():
 
 def test_valuations():
     t = FieldTower(3, 1, 2, 4)
-    assert t.pi().valuation() == RationalValuation(1, 6)
-    assert t.from_int(3).valuation() == RationalValuation(1, 1)
+    assert t.pi().valuation() == Fraction(1, 6)
+    assert t.from_int(3).valuation() == Fraction(1, 1)
     t2 = FieldTower(2, 1, 2, 4)
-    assert (t2.one() + t2.zeta()).valuation() == RationalValuation(1, 2)
+    assert (t2.one() + t2.zeta()).valuation() == Fraction(1, 2)
     with pytest.raises(IndeterminateAtPrecision):
         t.zero().valuation()
+    with pytest.raises(IndeterminateAtPrecision):
+        t.zero().pi_level()
+
+
+def reference_leading(x):
+    """(pi-level, residue of x / pi^level) the long way: a v_p loop over the
+    grid terms, then one exact division by pi per level."""
+    t = x.tower
+    levels = []
+    for i, row in enumerate(x.grid):
+        for c in row:
+            if c:
+                vp = 0
+                while c % t.p == 0:
+                    c //= t.p
+                    vp += 1
+                levels.append(i + t.e * vp)
+    level = min(levels)
+    y = x
+    for _ in range(level):
+        y = y.div_pi()
+    return level, y.residue_vector()
+
+
+def element_at_level(rng, t, level):
+    """A random grid whose minimum of i + e v_p(c_ij) is level: rows below
+    level % e carry p^(v+1), the others p^v, v = level // e, and row level % e
+    has one entry of v_p exactly v."""
+    v, i0 = divmod(level, t.e)
+    grid = []
+    for i in range(t.e):
+        scale = t.p ** (v + 1 if i < i0 else v)
+        grid.append([scale * rng.randrange(t.mod) if rng.random() < 0.7 else 0 for _ in range(t.f)])
+    grid[i0][rng.randrange(t.f)] = t.p**v * rng.choice([r for r in range(1, t.p**2) if r % t.p])
+    return t.from_grid(grid)
+
+
+def test_pi_level_and_leading_residue_match_div_pi_reference():
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        for alpha in range(5):
+            for f in (1, 2, 3):
+                t = FieldTower(p, f, alpha, 4)
+                # the reference costs level * e * f; large towers get the low levels only
+                top = min(t.e * (t.prec - 1), 12000 // (t.e * f) + 1)
+                for _ in range(12):
+                    x = element_at_level(rng, t, rng.randrange(top))
+                    level, vec = reference_leading(x)
+                    assert x.pi_level() == level, (p, alpha, f)
+                    assert x.leading_residue(level) == vec, (p, alpha, f, level)
+                    assert x.valuation() == Fraction(level, t.e)
 
 
 def test_invert_units():

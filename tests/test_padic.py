@@ -3,37 +3,35 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from stabforge.errors import InsufficientPrecision, NonUnit, NotASquare
+from stabforge.errors import NonUnit, NotASquare
 from stabforge.padic import (
     PadicInt,
     format_literal,
-    from_integer,
     hensel_sqrt,
     parse_literal,
-    residue_datum,
     teichmuller_lift,
     unit_decompose,
 )
 
 
 def test_from_integer_examples():
-    assert from_integer(-7, 2, 4).digits == (1, 0, 0, 1)  # -7 = 9 mod 16
-    assert from_integer(0, 3, 5).digits == (0, 0, 0, 0, 0)
-    assert from_integer(5, 5, 3).digits == (0, 1, 0)
+    assert PadicInt(2, 4, -7).digits == (1, 0, 0, 1)  # -7 = 9 mod 16
+    assert PadicInt(3, 5, 0).digits == (0, 0, 0, 0, 0)
+    assert PadicInt(5, 3, 5).digits == (0, 1, 0)
 
 
 def test_mul_and_invert_examples():
-    minus_one = from_integer(-1, 7, 6)
-    assert minus_one * minus_one == from_integer(1, 7, 6)
-    three = from_integer(3, 2, 4)
+    minus_one = PadicInt(7, 6, -1)
+    assert minus_one * minus_one == PadicInt(7, 6, 1)
+    three = PadicInt(2, 4, 3)
     assert three.invert().val == 11  # 3 * 11 = 33 = 1 mod 16
     with pytest.raises(NonUnit):
-        from_integer(2, 2, 8).invert()
+        PadicInt(2, 8, 2).invert()
 
 
 def test_precision_drops_to_min():
-    a = from_integer(10, 3, 6)
-    b = from_integer(4, 3, 2)
+    a = PadicInt(3, 6, 10)
+    b = PadicInt(3, 2, 4)
     assert (a * b).prec == 2
     assert (a + b).prec == 2
 
@@ -46,7 +44,7 @@ def test_precision_drops_to_min():
 )
 def test_ring_axioms(a, b, c, p):
     n = 8
-    x, y, z = (from_integer(t, p, n) for t in (a, b, c))
+    x, y, z = (PadicInt(p, n, t) for t in (a, b, c))
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
@@ -54,11 +52,11 @@ def test_ring_axioms(a, b, c, p):
 
 
 def test_teichmuller_examples():
-    assert teichmuller_lift(2, 3, 6) == from_integer(-1, 3, 6)
-    assert teichmuller_lift(1, 5, 6) == from_integer(1, 5, 6)
+    assert teichmuller_lift(2, 3, 6) == PadicInt(3, 6, -1)
+    assert teichmuller_lift(1, 5, 6) == PadicInt(5, 6, 1)
     w = teichmuller_lift(2, 5, 8)
     assert w.val % 5 == 2
-    assert w**4 == from_integer(1, 5, 8)
+    assert w**4 == PadicInt(5, 8, 1)
     # independent oracle: iterate x -> x^5 to its fixed point
     x = 2
     for _ in range(20):
@@ -71,24 +69,24 @@ def test_teichmuller_every_precision():
         for c in range(1, p):
             for n in range(1, 8):
                 w = teichmuller_lift(c, p, n)
-                assert w ** (p - 1) == from_integer(1, p, n)
+                assert w ** (p - 1) == PadicInt(p, n, 1)
                 assert w.val % p == c
 
 
 def test_hensel_sqrt_minus_seven():
-    u = from_integer(-7, 2, 12)
+    u = PadicInt(2, 12, -7)
     r = hensel_sqrt(u)
     assert r * r == u
 
 
 def test_hensel_sqrt_branches_and_failures():
-    assert hensel_sqrt(from_integer(4, 3, 6)).val == 2
+    assert hensel_sqrt(PadicInt(3, 6, 4)).val == 2
     with pytest.raises(NotASquare):
-        hensel_sqrt(from_integer(2, 5, 6))
+        hensel_sqrt(PadicInt(5, 6, 2))
     with pytest.raises(NotASquare):
-        hensel_sqrt(from_integer(3, 2, 6))
+        hensel_sqrt(PadicInt(2, 6, 3))
     with pytest.raises(NonUnit):
-        hensel_sqrt(from_integer(5, 5, 4))
+        hensel_sqrt(PadicInt(5, 4, 5))
 
 
 def test_hensel_sqrt_randomized_roundtrip():
@@ -96,7 +94,7 @@ def test_hensel_sqrt_randomized_roundtrip():
     for p in (2, 3, 5, 7, 11):
         for _ in range(25):
             n = rng.randint(3, 14)
-            x = from_integer(rng.randrange(1, p**n), p, n)
+            x = PadicInt(p, n, rng.randrange(1, p**n))
             if not x.is_unit:
                 continue
             sq = x * x
@@ -107,16 +105,16 @@ def test_hensel_sqrt_randomized_roundtrip():
 
 
 def test_unit_decompose():
-    t, pr = unit_decompose(from_integer(5, 3, 6))
-    assert t == from_integer(-1, 3, 6) and pr == from_integer(-5, 3, 6)
-    t, pr = unit_decompose(from_integer(3, 2, 6))
-    assert t == from_integer(-1, 2, 6) and pr == from_integer(-3, 2, 6)
-    u = from_integer(7, 5, 8)
+    t, pr = unit_decompose(PadicInt(3, 6, 5))
+    assert t == PadicInt(3, 6, -1) and pr == PadicInt(3, 6, -5)
+    t, pr = unit_decompose(PadicInt(2, 6, 3))
+    assert t == PadicInt(2, 6, -1) and pr == PadicInt(2, 6, -3)
+    u = PadicInt(5, 8, 7)
     t, pr = unit_decompose(u)
     assert t == teichmuller_lift(2, 5, 8)
     assert pr.val % 5 == 1
     assert t * pr == u
-    assert t ** 4 == from_integer(1, 5, 8)
+    assert t ** 4 == PadicInt(5, 8, 1)
 
 
 def test_unit_decompose_roundtrip_randomized():
@@ -124,34 +122,27 @@ def test_unit_decompose_roundtrip_randomized():
     for p in (2, 3, 5, 7):
         for _ in range(30):
             n = rng.randint(2, 10)
-            u = from_integer(rng.randrange(p**n), p, n)
+            u = PadicInt(p, n, rng.randrange(p**n))
             if not u.is_unit:
                 continue
             t, pr = unit_decompose(u)
             assert t * pr == u
             if p == 2:
-                assert t in (from_integer(1, 2, n), from_integer(-1, 2, n))
+                assert t in (PadicInt(2, n, 1), PadicInt(2, n, -1))
                 assert pr.val % 4 == 1
             else:
-                assert t ** (p - 1) == from_integer(1, p, n)
+                assert t ** (p - 1) == PadicInt(p, n, 1)
                 assert pr.val % p == 1
 
 
-def test_residue_datum():
-    assert residue_datum(from_integer(-1, 2, 5), 8) == 7
-    assert residue_datum(from_integer(4, 3, 4), 9) == 4
-    with pytest.raises(InsufficientPrecision):
-        residue_datum(from_integer(-1, 2, 2), 8)
-
-
 def test_exact_div_by_p():
-    x = from_integer(18, 3, 5)
-    assert x.exact_div_by_p() == from_integer(6, 3, 4)
+    x = PadicInt(3, 5, 18)
+    assert x.exact_div_by_p() == PadicInt(3, 4, 6)
     with pytest.raises(NonUnit):
-        from_integer(5, 3, 5).exact_div_by_p()
+        PadicInt(3, 5, 5).exact_div_by_p()
 
 
 def test_literal_roundtrip():
-    x = from_integer(35, 3, 6)
+    x = PadicInt(3, 6, 35)
     assert parse_literal(format_literal(x)) == x
-    assert parse_literal("p:2 [1,0,0,1]") == from_integer(9, 2, 4)
+    assert parse_literal("p:2 [1,0,0,1]") == PadicInt(2, 4, 9)

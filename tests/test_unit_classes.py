@@ -217,7 +217,7 @@ def brute_force_root_exists(a, m):
     if a.is_zero:
         return True
     v = a.valuation()
-    units = v.num * (t.e // v.den)
+    units = v.numerator * (t.e // v.denominator)
     if units % m:
         return False
     y = a
