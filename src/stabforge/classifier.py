@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NotApplicable, UnsupportedParameters
-from .intarith import divisors, split_p
+from .intarith import check_params, divisors, split_p
 from .localfield import euler_phi_prime_power
-from .unitclasses import r1_max, r2_admissible
+from .unitclasses import r1_max
 
 GRID_P_MAX = 7
 GRID_N_MAX = 12
@@ -50,6 +50,7 @@ class ClassificationInput:
     u_mod: int  # u mod p^2 for odd p, u mod 8 for p = 2
 
     def __post_init__(self):
+        check_params(self.p, n=self.n)
         mod = 8 if self.p == 2 else self.p**2
         object.__setattr__(self, "u_mod", self.u_mod % mod)
         if math.gcd(self.u_mod, self.p) != 1:
@@ -89,6 +90,7 @@ def _n_alpha(p: int, n: int, alpha: int) -> int:
 
 def maximal_in_Sn(p: int, n: int) -> ClassificationReport:
     """Conjugacy classes of maximal finite subgroups of the stabilizer group."""
+    check_params(p, n=n)
     classes = []
     notes = []
     k, m = _split_n(p, n)
@@ -142,6 +144,7 @@ def maximal_in_Sn(p: int, n: int) -> ClassificationReport:
 
 def abelian_classes(p: int, n: int) -> ClassificationReport:
     """All abelian classes, indexed by pairs (alpha, d | p^(n_alpha) - 1)."""
+    check_params(p, n=n)
     k, _m = _split_n(p, n)
     pairs = []
     classes = []

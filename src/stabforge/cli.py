@@ -14,7 +14,7 @@ import sys
 
 from . import classifier, cohomology, unitclasses
 from .errors import StabforgeError
-from .localfield import FieldElem, FieldTower, epsilon_alpha
+from .localfield import FieldTower, epsilon_alpha
 from .order import OrderParams
 from .padic import parse_literal
 from .relscript import run_script

@@ -48,6 +48,18 @@ def multiplicative_order(a: int, m: int) -> int:
     return order
 
 
+def check_params(p: int, alpha: int = 0, **positive):
+    """Raise ValueError, naming the bad argument, unless p is prime, alpha >= 0
+    and every named value is >= 1."""
+    if p < 2 or factorize(p) != [(p, 1)]:
+        raise ValueError(f"p must be a prime, got {p}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    for name, v in positive.items():
+        if v < 1:
+            raise ValueError(f"{name} must be >= 1, got {v}")
+
+
 def split_p(n: int, p: int):
     """(j, m) with n = p^j m and m prime to p, for n >= 1 and p >= 2."""
     if n < 1:

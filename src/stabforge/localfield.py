@@ -23,8 +23,8 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import IndeterminateAtPrecision, NonUnit
-from .intarith import prime_factors, split_p
+from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit
+from .intarith import check_params, prime_factors, split_p
 
 
 def euler_phi_prime_power(p: int, alpha: int) -> int:
@@ -169,8 +169,7 @@ class FieldTower:
     coefficient precision (all element coefficients live mod p^prec)."""
 
     def __init__(self, p: int, f: int, alpha: int, prec: int):
-        if prec < 1:
-            raise ValueError("prec must be >= 1")
+        check_params(p, alpha, f=f, prec=prec)
         self.p = p
         self.f = f
         self.alpha = alpha
@@ -260,11 +259,13 @@ class FieldTower:
         g[0] = [d % self.mod for d in residue]
         x = FieldElem(self, g)
         q = self.p**self.f
-        for _ in range(self.prec + 1):
+        for _ in range(self.prec + 2):  # each step fixes one more p-adic digit
             y = x**q
             if y == x:
                 break
             x = y
+        else:
+            raise InsufficientPrecision(f"Teichmueller lift of {residue} did not converge")
         self._teich_cache[residue] = x
         return x
 
@@ -280,10 +281,13 @@ class FieldTower:
             x = self.beta() ** (self.p**t)
             gpoly = [c % self.mod for c in self.unram]
             dpoly = [(j * gpoly[j]) % self.mod for j in range(1, len(gpoly))]
-            for _ in range(self.prec.bit_length() + 2):
+            for _ in range(self.prec.bit_length() + 3):  # each step doubles the p-adic precision
                 gx = _eval_poly(gpoly, x)
-                dgx = _eval_poly(dpoly, x)
-                x = x - gx * dgx.invert()
+                if gx.is_zero:
+                    break
+                x = x - gx * _eval_poly(dpoly, x).invert()
+            else:
+                raise InsufficientPrecision(f"Newton root for the Frobenius image sigma^{t}(beta) did not converge")
             img = x
         self._frob_cache[t] = img
         return img
@@ -453,12 +457,12 @@ class FieldElem:
         q = t.p**t.f
         res = t.teichmuller(self.residue_vector())
         y = res ** (q - 2) if q > 2 else t.one()
-        for _ in range(t.prec.bit_length() + t.e.bit_length() + 2):
+        for _ in range(t.prec.bit_length() + t.e.bit_length() + 3):  # each step doubles the pi-adic precision
             err = t.one() - self * y
             if err.is_zero:
-                break
+                return y
             y = y + y * err
-        return y
+        raise InsufficientPrecision("Newton iteration for the inverse did not converge")
 
     # -- valuation and digits ---------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IndeterminateAtPrecision, NonUnit, PrecisionTooLow
+from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit, PrecisionTooLow
 from .intarith import prime_factors
 from .localfield import FieldElem, FieldTower
 from .padic import PadicInt, hensel_sqrt
@@ -205,12 +205,12 @@ class OrderElem:
             t_inv = OrderElem(pa, -self.shift - vp - 1, tuple(coeffs))
         y = t_inv * self - pa.one()
         acc, term = pa.one(), -y
-        for _ in range(pa.n * (pa.p_prec + 1)):
+        for _ in range(pa.n * (pa.p_prec + 1) + 1):
             if term.is_zero:
-                break
+                return acc * t_inv
             acc = acc + term
             term = term * (-y)
-        return acc * t_inv
+        raise InsufficientPrecision("geometric series for the inverse did not converge")
 
     def __repr__(self):
         parts = []

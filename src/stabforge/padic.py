@@ -7,7 +7,6 @@ result at the minimum precision of its operands.  No floating point anywhere.
 from __future__ import annotations
 
 from .errors import InsufficientPrecision, NonUnit, NotASquare
-from .intarith import split_p
 
 
 class PadicInt:
@@ -60,12 +59,6 @@ class PadicInt:
     @property
     def is_zero(self) -> bool:
         return self.val == 0
-
-    def valuation(self):
-        """v_p at tracked precision, or None if all digits vanish."""
-        if self.val == 0:
-            return None
-        return split_p(self.val, self.p)[0]
 
     def reduce(self, prec: int) -> "PadicInt":
         if prec > self.prec:

@@ -5,11 +5,17 @@ levels whose graded pieces are copies of the residue field.  Subgroups such
 as <mu cap U_1, U_1^k> are held as saturated multiplicative echelons, and
 membership is decided by greedy level-by-level reduction.  A "false" answer
 is sound at any depth; a "true" answer is sound once U_N lies inside the
-span, which holds at the default depths used here.
+span, which holds at default_depth(p, alpha, k) for every k.
+
+Every power class, in epsilon_test and is_kth_power alike, is decided by one
+call: membership(x, subgroup_span(FiltrationQuotient(tower, default_depth(p,
+alpha, k)), k, mu)).  Only the prime-to-p part of a unit is read off the
+residue field.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +25,7 @@ from .errors import (
     NonUnit,
     UnsupportedParameters,
 )
-from .intarith import divisors, multiplicative_order, prime_factors, split_p
+from .intarith import check_params, divisors, multiplicative_order, prime_factors, split_p
 from .localfield import FieldElem, FieldTower, epsilon_alpha, euler_phi_prime_power
 from .padic import PadicInt
 
@@ -36,6 +42,7 @@ def default_depth(p: int, alpha: int, k: int) -> int:
     k = 4; the exhaustive check in the tests confirms the bound used here.)
     Unramified towers use the p-digit analogue.
     """
+    check_params(p, alpha, k=k)
     j, _ = split_p(k, p)
     if alpha == 0:
         return 2 * j + 2 if p == 2 else j + 2
@@ -80,7 +87,9 @@ class SubgroupEchelon:
     """A saturated echelon of generators of a subgroup of U_1/U_depth.
 
     Entries are indexed by (level, pivot) with strictly increasing leading
-    terms; each stored unit is 1 mod pi with pivot residue digit 1.
+    terms.  Each entry is a unit 1 mod pi stored as insert reduced it, not
+    rescaled, with its leading residue vector.  Reduction multiplies only by
+    non-negative powers of entries, so no inverse is ever taken.
     """
 
     def __init__(self, quotient: FiltrationQuotient):
@@ -99,7 +108,11 @@ class SubgroupEchelon:
         return level, y.leading_residue(level)
 
     def reduce(self, x: FieldElem):
-        """Divide out entries greedily; returns the reduced unit (1 if member)."""
+        """Divide out entries greedily; returns the reduced unit (1 if member).
+
+        Multiplying by h^(p - m) cancels the pivot digit as h^(-m) would: the
+        two differ by h^p, which saturation has put in the span.
+        """
         p = self.quotient.tower.p
         while True:
             lead = self._leading(x)
@@ -112,7 +125,7 @@ class SubgroupEchelon:
                 return x
             h, hvec = entry
             m = vec[pivot] * pow(hvec[pivot], -1, p) % p
-            x = x * h ** (-m)
+            x = x * h ** (p - m)
 
     def insert(self, x: FieldElem):
         """Add a generator, then saturate with its p-th power chain."""
@@ -125,9 +138,6 @@ class SubgroupEchelon:
                 continue
             level, vec = lead
             pivot = next(j for j, c in enumerate(vec) if c)
-            c = pow(vec[pivot], -1, p)
-            g = g**c
-            vec = tuple(d * c % p for d in vec)
             self.entries[(level, pivot)] = (g, vec)
             work.append(g**p)
 
@@ -169,34 +179,16 @@ def membership(x: FieldElem, span: SubgroupEchelon) -> bool:
     return project_to_principal_units(x) in span
 
 
-def verify_depth_closure(p: int, alpha: int, k: int, extra: int = None) -> bool:
+def verify_depth_closure(p: int, alpha: int, k: int) -> bool:
     """Check that U_N with N = default depth lies in <mu cap U_1, U_1^k> by
-    testing every level generator for N <= i < N + extra inside a deeper quotient."""
+    testing every level generator of levels N <= i < N + phi(p^alpha) + 1
+    inside U_1/U_(N + phi(p^alpha) + 1) of the tower with f = 1."""
     n0 = default_depth(p, alpha, k)
-    if extra is None:
-        extra = euler_phi_prime_power(p, alpha) + 1
-    deep = FiltrationQuotient(
-        FieldTower.for_pi_prec(p, 1, alpha, n0 + extra + 2 * euler_phi_prime_power(p, alpha)),
-        n0 + extra,
-    )
+    e = euler_phi_prime_power(p, alpha)
+    deep = FiltrationQuotient(FieldTower.for_pi_prec(p, 1, alpha, n0 + 3 * e + 1), n0 + e + 1)
     span = subgroup_span(deep, k, include_mu_torsion=True)
-    t = deep.tower
-    for i in range(n0, n0 + extra):
-        for j in range(t.f):
-            basis = tuple(1 if jj == j else 0 for jj in range(t.f))
-            g = t.one() + t.teichmuller(basis) * t.pi() ** i
-            if g not in span:
-                return False
-    return True
-
-
-# -- residue-field power classes ------------------------------------------------
-
-
-def residue_power_class_trivial(tower: FieldTower, vec, d: int, r: int) -> bool:
-    """Is the residue vec inside <mu_d residues, (F_q^x)^r>?"""
-    q1 = tower.p**tower.f - 1
-    return tower.residue.is_power(vec, math.gcd(math.gcd(q1 // d, r), q1))
+    # f = 1: one generator per level, from level 1 up
+    return all(g in span for g in itertools.islice(deep.level_generators(), n0 - 1, None))
 
 
 # -- the epsilon test and r1 ------------------------------------------------------
@@ -217,44 +209,16 @@ def _normalize_unit(u, p: int, prec: int) -> PadicInt:
     return u
 
 
-def _require_positive(**values):
-    for name, v in values.items():
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1, got {v}")
-
-
-def _p_part_membership(p, alpha, f, u: PadicInt, j: int) -> bool:
-    """Decide epsilon_alpha/u in <zeta_{p^alpha}, U_1^(p^j)> inside U_1."""
-    if p == 2:
-        if j > 2:
-            # false at 4th powers implies false at deeper 2-powers; a true
-            # answer at k = 4 cannot certify k = 8
-            if not _p_part_membership(p, alpha, f, u, 2):
-                return False
-            raise UnsupportedParameters("2-part of r1 beyond 4 is out of scope")
-        k = 2**j
-    else:
-        if j > 1:
-            if not _p_part_membership(p, alpha, f, u, 1):
-                return False
-            raise UnsupportedParameters("p-part of r1 beyond p is out of scope")
-        k = p
-    quotient = FiltrationQuotient.standard(p, f, alpha, k)
-    t = quotient.tower
-    eps = epsilon_alpha(t)
-    x = eps * t.from_int(u.val).invert()
-    span = subgroup_span(quotient, k, include_mu_torsion=True)
-    return membership(x, span)
-
-
 def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
     """Is the class of epsilon_alpha/u trivial in Z_p(F_0)^x / <F_0, (Z_p(F_0)^x)^r1>?
 
-    The prime-to-p part of r1 is decided on residue-field torsion (the free
-    part of the unit group is divisible by it); the p-part by filtration
-    membership against <zeta_{p^alpha}, U_1^(p-part)>.
+    The prime-to-p part r' of r1 is decided on residue-field torsion (the
+    free part of the unit group is divisible by it): epsilon_alpha = -1 mod
+    pi, so the residue of epsilon/u is -1/u in F_p, tested against
+    <mu_d, (F_q^x)^r'> = (F_q^x)^gcd((q-1)/d, r') in the cyclic F_q^x.  The
+    p-part p^j by filtration membership against <zeta_{p^alpha}, U_1^(p^j)>.
     """
-    _require_positive(d=d, r1=r1)
+    check_params(p, n=n, d=d, r1=r1)
     if alpha < 1:
         raise ValueError("epsilon_test needs alpha >= 1")
     n_alpha = n // euler_phi_prime_power(p, alpha)
@@ -266,18 +230,17 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
     f = multiplicative_order(p, d) if d > 1 else 1
     if f > MAX_RESIDUE_DEGREE:
         raise UnsupportedParameters(f"residue degree {f} exceeds the desk-scale cap")
+    # u mod p^(j+2) fixes the class: every element of 1 + p^(j+2) Z_p is a p^j-th power
     u = _normalize_unit(u, p, max(3, j + 2))
-    # prime-to-p part: residue of epsilon/u against <mu_d, (F_q^x)^r'>
-    if r_prime > 1:
-        small = FieldTower(p, f, alpha, 2)
-        res_eps = epsilon_alpha(small).residue_vector()
-        ubar_inv = pow(u.val % p, -1, p) if p > 2 else 1
-        vec = tuple(c * ubar_inv % p for c in res_eps)
-        if not residue_power_class_trivial(small, vec, d, r_prime):
-            return False
-    if j >= 1:
-        return _p_part_membership(p, alpha, f, u, j)
-    return True
+    q1 = p**f - 1
+    if pow(-pow(u.val, -1, p), q1 // math.gcd(q1 // d, r_prime), p) != 1:
+        return False
+    if j == 0:
+        return True
+    quotient = FiltrationQuotient.standard(p, f, alpha, p**j)
+    t = quotient.tower
+    x = epsilon_alpha(t) * t.from_int(u.val).invert()
+    return membership(x, subgroup_span(quotient, p**j, include_mu_torsion=True))
 
 
 @dataclass(frozen=True)
@@ -298,7 +261,8 @@ class R2Verdict:
 def r1_max(p: int, n: int, alpha: int, d: int, u) -> R1Verdict:
     """Largest r1 with a valuation-1/r1 extension of F_0 x <pu>, with the
     divisor-closed admissible set and the deciding theorem branch."""
-    _require_positive(d=d)
+    check_params(p, alpha, n=n, d=d)
+    _normalize_unit(u, p, 1)
     if alpha == 0:
         return R1Verdict((1,), 1, "cor202-alpha0" if p > 2 else "alpha-le-1")
     n_alpha = n // euler_phi_prime_power(p, alpha)
@@ -323,7 +287,8 @@ def r1_max(p: int, n: int, alpha: int, d: int, u) -> R1Verdict:
 def r2_admissible(p: int, n: int, alpha: int, d: int, u, r1: int) -> R2Verdict:
     """Divisors r2 admitting a degree-r2 field extension of Q_p(F_0) inside the
     algebra, via the greatest allowed divisor of n/[Q_p(F_0):Q_p]."""
-    _require_positive(n=n, d=d, r1=r1)
+    check_params(p, alpha, n=n, d=d, r1=r1)
+    _normalize_unit(u, p, 1)
     f = multiplicative_order(p, d) if d > 1 else 1
     deg = euler_phi_prime_power(p, alpha) * f
     if n % deg:
@@ -365,16 +330,10 @@ def _unit_is_kth_power(x: FieldElem, k: int) -> bool:
     t = x.tower
     if not t.residue.is_power(x.residue_vector(), math.gcd(k, t.p**t.f - 1)):
         return False
-    j, _ = split_p(k, t.p)
-    if j == 0:
+    if k % t.p:
         return True
-    if (t.p == 2 and j > 2) or (t.p > 2 and j > 1):
-        raise UnsupportedParameters("p-part of the power test out of scope")
-    kp = t.p**j
-    depth = default_depth(t.p, t.alpha, kp)
-    quotient = FiltrationQuotient(t, depth)  # DepthTooSmall if t is too shallow
-    span = subgroup_span(quotient, kp, include_mu_torsion=False)
-    return project_to_principal_units(x) in span
+    quotient = FiltrationQuotient(t, default_depth(t.p, t.alpha, k))  # DepthTooSmall if t is too shallow
+    return membership(x, subgroup_span(quotient, k, include_mu_torsion=False))
 
 
 def is_kth_power(x: FieldElem, k: int, pi_shift: int = 0) -> bool:

@@ -30,8 +30,21 @@ REJECTED = [
     # a non-positive pi-adic precision has no digits to print
     ["epsilon", "--p", "3", "--alpha", "1", "--pi-prec", "-3"],
     ["expand", "--p", "3", "--alpha", "1", "--elem", "1", "--pi-prec", "0"],
-    # u = 2 is not a 2-adic unit
+    # u = 2 is not a 2-adic unit, also on the branches that never read u
     ["r1", "--p", "2", "--n", "4", "--alpha", "2", "--d", "1", "--u", "2"],
+    ["r1", "--p", "2", "--n", "4", "--alpha", "1", "--d", "1", "--u", "2"],
+    # p must be prime: these answered, failed a check or crashed in unramified_poly
+    ["classify", "--p", "4", "--n", "2"],
+    ["classify", "--p", "1", "--n", "3"],
+    ["classify", "--p", "6", "--n", "5", "--inner"],
+    ["r1", "--p", "4", "--n", "3", "--alpha", "1", "--d", "3"],
+    ["r2", "--p", "6", "--n", "5", "--alpha", "1", "--d", "5", "--r1", "1"],
+    ["epsilon-test", "--p", "4", "--n", "3", "--alpha", "1", "--d", "3", "--r1", "3"],
+    ["epsilon", "--p", "4", "--alpha", "1"],
+    ["verify", "q8.rel", "--p", "4", "--n", "2"],
+    # f = 0 has no residue field
+    ["epsilon", "--p", "3", "--alpha", "1", "--f", "0"],
+    ["classify", "--p", "3", "--n", "-2"],
 ]
 
 
@@ -48,6 +61,11 @@ def test_bad_input_exits_2_with_message(argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_bad_input_message_names_the_argument():
+    proc = run_cli(["classify", "--p", "3", "--n", "-2"])
+    assert proc.stderr == "error: n must be >= 1, got -2\n"
 
 
 def test_r1_odd_p_integer_u_answers():

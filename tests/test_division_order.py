@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabforge.errors import IndeterminateAtPrecision, UnknownName
+from stabforge.errors import IndeterminateAtPrecision, InsufficientPrecision, UnknownName
 from stabforge.order import (
     OrderParams,
     check_verdict,
@@ -73,6 +73,16 @@ def test_invert():
     i, j, k = embed_q8(pa)
     x = pa.one() + i
     assert x.invert() * x == pa.one()
+
+
+def test_invert_raises_when_the_series_runs_out():
+    # the geometric series is bounded by p_prec; lowered after construction it
+    # stops before the terms vanish at the Witt ring's precision
+    pa = params22()
+    x = pa.one() + pa.s()
+    pa.p_prec = 0
+    with pytest.raises(InsufficientPrecision, match="series"):
+        x.invert()
 
 
 def test_associativity_and_centrality_randomized():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabforge.errors import IndeterminateAtPrecision, NonUnit
+from stabforge.errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit
 from stabforge.localfield import (
     FieldElem,
     FieldTower,
@@ -428,3 +428,38 @@ def test_invert_units():
             assert x * x.invert() == t.one()
     with pytest.raises(NonUnit):
         FieldTower(3, 1, 1, 4).pi().invert()
+
+
+# Each iteration below is bounded by the tower's prec; lowering prec after
+# construction (the modulus stays p^prec) leaves too few steps to converge,
+# and the loop must say so instead of returning its last iterate.
+
+
+def test_teichmuller_raises_when_its_steps_run_out():
+    t = FieldTower(3, 1, 0, 10)
+    t.prec = 0
+    with pytest.raises(InsufficientPrecision, match="Teichmueller"):
+        t.teichmuller((2,))
+
+
+def test_invert_raises_when_its_steps_run_out():
+    t = FieldTower(2, 1, 0, 40)
+    x = t.from_int(3)
+    t.prec = 0
+    with pytest.raises(InsufficientPrecision, match="inverse"):
+        x.invert()
+
+
+def test_frobenius_beta_checks_its_root():
+    t = FieldTower(3, 2, 0, 8)
+    t.frobenius_beta(1)  # leaves the Teichmueller lifts that invert needs in the cache
+    t._frob_cache.clear()
+    t.prec = 0
+    with pytest.raises(InsufficientPrecision, match="Frobenius"):
+        t.frobenius_beta(1)
+
+
+@pytest.mark.parametrize("args", [(4, 1, 1, 4), (1, 1, 1, 4), (3, 0, 1, 4), (3, 1, -1, 4), (3, 1, 1, 0)])
+def test_tower_rejects_bad_parameters(args):
+    with pytest.raises(ValueError):
+        FieldTower(*args)

@@ -1,10 +1,14 @@
+import math
 import random
 
 import pytest
 
+from stabforge import unitclasses
 from stabforge.errors import DepthTooSmall, UnsupportedParameters
-from stabforge.localfield import FieldTower, epsilon_alpha
+from stabforge.intarith import divisors, multiplicative_order
+from stabforge.localfield import FieldElem, FieldTower, epsilon_alpha
 from stabforge.unitclasses import (
+    MAX_RESIDUE_DEGREE,
     FiltrationQuotient,
     R1Verdict,
     default_depth,
@@ -70,6 +74,12 @@ def test_depth_closure_open_question():
     assert verify_depth_closure(2, 4, 4)
 
 
+@pytest.mark.parametrize("p, alpha, k", [(2, 3, 8), (2, 4, 8), (3, 2, 9), (3, 3, 9), (5, 2, 25)])
+def test_depth_closure_at_higher_p_powers(p, alpha, k):
+    # N = p^alpha + (j - 1) phi(p^alpha) + 2 for k = p^j with j beyond 2 (p = 2) or 1 (odd p)
+    assert verify_depth_closure(p, alpha, k)
+
+
 def test_depth_too_small():
     t = FieldTower.for_pi_prec(3, 1, 2, 20)
     with pytest.raises(DepthTooSmall):
@@ -96,35 +106,45 @@ def test_theorem_113_membership_false():
         assert not membership(epsilon_alpha(q.tower), span)
 
 
-def test_membership_agrees_with_enumeration_small():
-    # p = 3, alpha = 1, f = 1: enumerate the span subgroup of U_1/U_depth by
-    # closure and compare with the echelon verdicts
-    q = FiltrationQuotient.standard(3, 1, 1, 3)
-    t = q.tower
-    span = subgroup_span(q, 3, include_mu_torsion=True)
+def test_membership_agrees_with_enumeration_small(monkeypatch):
+    # alpha = 1, f = 1: enumerate the span subgroup of U_1/U_depth by closure
+    # and compare with the echelon verdicts.  At p = 5 reduce meets pivot
+    # digits other than 1 and p - 1.  The echelon never inverts.
+    def no_invert(self):
+        raise AssertionError("the echelon inverted an element")
 
-    def key(x):
-        return tuple(tuple(d) for d in project_to_principal_units(x).pi_digit_expansion(q.depth))
+    monkeypatch.setattr(FieldElem, "invert", no_invert)
+    for p in (3, 5):
+        q = FiltrationQuotient.standard(p, 1, 1, p)
+        t = q.tower
+        span = subgroup_span(q, p, include_mu_torsion=True)
 
-    gens = [t.zeta()] + [g**3 for g in q.level_generators()]
-    seen = {key(t.one()): t.one()}
-    frontier = [t.one()]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = cur * g
-            k = key(nxt)
-            if k not in seen:
-                seen[k] = nxt
-                frontier.append(nxt)
-    rng = random.Random(23)
-    for _ in range(40):
-        x = t.one()
-        for i in range(1, q.depth):
-            c = rng.randrange(3)
-            if c:
-                x = x * (t.one() + t.teichmuller((c,)) * t.pi() ** i)
-        assert membership(x, span) == (key(x) in seen)
+        def key(x):
+            return tuple(tuple(d) for d in project_to_principal_units(x).pi_digit_expansion(q.depth))
+
+        gens = [t.zeta()] + [g**p for g in q.level_generators()]
+        seen = {key(t.one()): t.one()}
+        frontier = [t.one()]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = cur * g
+                k = key(nxt)
+                if k not in seen:
+                    seen[k] = nxt
+                    frontier.append(nxt)
+        rng = random.Random(23)
+        for _ in range(40):
+            x = t.one()
+            for i in range(1, q.depth):
+                c = rng.randrange(p)
+                if c:
+                    x = x * (t.one() + t.teichmuller((c,)) * t.pi() ** i)
+            assert membership(x, span) == (key(x) in seen)
+        for y in rng.sample(sorted(seen), min(20, len(seen))):
+            assert membership(seen[y], span)
+            x = seen[y] * (t.one() + t.pi() ** rng.randrange(1, q.depth))
+            assert membership(x, span) == (key(x) in seen)
 
 
 def test_epsilon_test_examples():
@@ -139,6 +159,45 @@ def test_epsilon_test_examples():
     # p = 3, alpha = 2, r1 = 3 is never admissible
     for u in (1, 2, 4, 5):
         assert not epsilon_test(3, 6, 2, 2, u, 3)
+
+
+def test_epsilon_test_decides_the_p_part_with_one_span(monkeypatch):
+    # Cor 202 at p = 3, alpha = 3, r1 = 9: epsilon/u is not a 9th power class
+    # mod zeta; one span at k = 9 decides it, with no detour through k = 3
+    spans = []
+    real = unitclasses.subgroup_span
+    monkeypatch.setattr(unitclasses, "subgroup_span", lambda q, k, **kw: spans.append(k) or real(q, k, **kw))
+    for u in (1, 2):
+        assert not epsilon_test(3, 18, 3, 1, u, 9)
+    assert spans == [9, 9]
+
+
+def _residue_test_reference(tower, d, r_prime, u):
+    """The residue-field computation epsilon_test used to make: the residue of
+    epsilon_alpha / u, read off the tower, against <mu_d, (F_q^x)^r'>."""
+    p, q1 = tower.p, tower.p**tower.f - 1
+    vec = tuple(c * pow(u, -1, p) % p for c in epsilon_alpha(tower).residue_vector())
+    return tower.residue.is_power(vec, math.gcd(q1 // d, r_prime))
+
+
+def test_residue_test_matches_the_residue_field_reference():
+    # every d of order f (p^f <= 20000, f within the cap), r' | p - 1 and unit
+    # u mod p; r1 = r' is prime to p, so epsilon_test reads only the residue
+    cases = 0
+    for p in (2, 3, 5, 7):
+        for f in range(1, MAX_RESIDUE_DEGREE + 1):
+            if p**f > 20000:
+                break
+            tower = FieldTower(p, f, 1, 2)
+            for d in divisors(p**f - 1):
+                if multiplicative_order(p, d) != f:
+                    continue
+                for r_prime in divisors(p - 1):
+                    for u in range(1, p):
+                        want = _residue_test_reference(tower, d, r_prime, u)
+                        assert epsilon_test(p, (p - 1) * f, 1, d, u, r_prime) == want, (p, f, d, r_prime, u)
+                        cases += 1
+    assert cases == 2093
 
 
 def test_epsilon_test_p2_u_branches():
@@ -281,6 +340,22 @@ def test_is_kth_power_basics():
     assert is_kth_power(x * x, 2)
     assert is_kth_power((t.one() + t.pi()) ** 3, 3)
     assert not is_kth_power(t.pi(), 2)
+
+
+@pytest.mark.parametrize("p, alpha, k", [(2, 1, 8), (2, 2, 8), (3, 1, 9)])
+def test_is_kth_power_at_higher_p_powers(p, alpha, k):
+    t = FieldTower.for_pi_prec(p, 1, alpha, 24)
+    rng = random.Random(f"{p}:{alpha}:{k}")
+    verdicts = []
+    for _ in range(6):
+        y = t.from_grid([[rng.randrange(1, p**4) if i == 0 else rng.randrange(p**4)] for i in range(t.e)])
+        if not y.is_unit:
+            continue
+        for x in (y**k, y**k * (t.one() + t.pi() ** rng.randrange(1, 2 * t.e + 2)), y):
+            want = brute_force_root_exists(x, k)
+            assert is_kth_power(x, k) == want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 def test_unsupported_residue_degree():
