@@ -72,9 +72,6 @@ class ClassificationReport:
             out["notes"] = list(self.notes)
         return out
 
-    def names(self):
-        return sorted(c.name for c in self.classes for _ in range(c.count))
-
 
 def _split_n(p: int, n: int):
     """(k, m) with n = (p-1) p^(k-1) m, m prime to p; k = 0 when (p-1) does not divide n."""

@@ -215,6 +215,11 @@ class CycModule:
     matrix T on the generators (columns are images)."""
 
     def __init__(self, free_rank: int, torsion, action, order: int):
+        if order < 1 or free_rank < 0 or any(dj < 1 for dj in torsion):
+            raise BadAction(
+                f"need order >= 1, rank >= 0 and torsion orders >= 1, got order {order}, "
+                f"rank {free_rank}, torsion {list(torsion)}"
+            )
         self.a = free_rank
         self.d = tuple(torsion)
         self.r = order

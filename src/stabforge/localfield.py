@@ -322,11 +322,6 @@ def _eval_poly(coeffs, x: "FieldElem") -> "FieldElem":
     return acc
 
 
-def _substitute(grid, pi_img: "FieldElem", beta_img: "FieldElem") -> "FieldElem":
-    """sum c_ij beta^j pi^i with pi and beta replaced by their images."""
-    return _eval_poly([_eval_poly(row, beta_img) for row in grid], pi_img)
-
-
 class FieldElem:
     """An element sum_{i<e} (sum_{j<f} c_ij beta^j) pi^i, coefficients mod p^prec."""
 
@@ -454,9 +449,8 @@ class FieldElem:
         t = self.tower
         if not self.is_unit:
             raise NonUnit("only units are invertible in the ring")
-        q = t.p**t.f
-        res = t.teichmuller(self.residue_vector())
-        y = res ** (q - 2) if q > 2 else t.one()
+        y = t.zero()
+        y.grid[0] = list(t.residue.pow(self.residue_vector(), t.residue.q - 2))
         for _ in range(t.prec.bit_length() + t.e.bit_length() + 3):  # each step doubles the pi-adic precision
             err = t.one() - self * y
             if err.is_zero:
@@ -560,19 +554,14 @@ class FieldElem:
             pi_img = tw.zeta() ** s - tw.one()
         else:
             pi_img = tw.pi()
-        return _substitute(self.grid, pi_img, tw.frobenius_beta(t))
+        beta_img = tw.frobenius_beta(t)
+        return _eval_poly([_eval_poly(row, beta_img) for row in self.grid], pi_img)
 
     def norm(self, generators) -> "FieldElem":
         """Product over the orbit of the subgroup generated by (s, t) pairs."""
         out = self.tower.one()
         for s, t in self.tower.galois_closure(generators):
             out = out * self.galois_act(s if s else 1, t)
-        return out
-
-    def trace(self, generators) -> "FieldElem":
-        out = self.tower.zero()
-        for s, t in self.tower.galois_closure(generators):
-            out = out + self.galois_act(s if s else 1, t)
         return out
 
     def __repr__(self):
@@ -595,15 +584,3 @@ def epsilon_alpha(tower: FieldTower) -> FieldElem:
     for i in range(1, tower.e):
         g[i][0] = (-(q[i] // tower.p)) % tower.mod
     return FieldElem(tower, g)
-
-
-def change_rings(x: FieldElem, target: FieldTower) -> FieldElem:
-    """The map i_alpha into the next cyclotomic level: zeta_{p^a} -> zeta_{p^{a+1}}^p."""
-    src = x.tower
-    if target.p != src.p or target.f != src.f or target.alpha != src.alpha + 1:
-        raise ValueError("target must be the same tower one cyclotomic level up")
-    if src.alpha == 0:
-        pi_img = target.from_int(src.p)
-    else:
-        pi_img = target.zeta() ** src.p - target.one()
-    return _substitute(x.grid, pi_img, target.beta())

@@ -248,11 +248,6 @@ def order_check(x: OrderElem, d: int) -> bool:
     return not any((x ** (d // q) - x.params.one()).is_zero for q in prime_factors(d))
 
 
-def hasse_embeds(m: int, n: int) -> bool:
-    """Does the invariant-1/m algebra embed in the invariant-1/n one?"""
-    return n % m == 0 and (n // m) % m == 1 % m
-
-
 # -- explicit embeddings ----------------------------------------------------------
 
 

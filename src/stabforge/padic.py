@@ -201,24 +201,6 @@ def hensel_sqrt(u: PadicInt) -> PadicInt:
     return PadicInt(p, prec, min(x, mod - x))
 
 
-def unit_decompose(u: PadicInt):
-    """Split a unit as torsion * principal.
-
-    torsion^(p-1) = 1 and principal = 1 mod p for odd p; torsion in {1, -1}
-    and principal = 1 mod 4 for p = 2.
-    """
-    if not u.is_unit:
-        raise NonUnit("decomposition only for units")
-    if u.p == 2:
-        if u.prec < 2:
-            raise InsufficientPrecision("need u mod 4")
-        if u.val % 4 == 1:
-            return PadicInt(2, u.prec, 1), u
-        return PadicInt(2, u.prec, -1), -u
-    t = teichmuller_lift(u.val % u.p, u.p, u.prec)
-    return t, u * t.invert()
-
-
 def parse_literal(text: str) -> PadicInt:
     """Parse the CLI digit-list literal, e.g. "p:3 [1,0,2]"."""
     text = text.strip()

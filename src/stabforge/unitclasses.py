@@ -10,7 +10,7 @@ span, which holds at default_depth(p, alpha, k) for every k.
 Every power class, in epsilon_test and is_kth_power alike, is decided by one
 call: membership(x, subgroup_span(FiltrationQuotient(tower, default_depth(p,
 alpha, k)), k, mu)).  Only the prime-to-p part of a unit is read off the
-residue field.
+residue field.  is_kth_power serves as the cross-check of epsilon_test.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     NonUnit,
     UnsupportedParameters,
 )
-from .intarith import check_params, divisors, multiplicative_order, prime_factors, split_p
+from .intarith import check_params, divisors, multiplicative_order, split_p
 from .localfield import FieldElem, FieldTower, epsilon_alpha, euler_phi_prime_power
 from .padic import PadicInt
 
@@ -243,6 +243,14 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
     return membership(x, subgroup_span(quotient, p**j, include_mu_torsion=True))
 
 
+def _cor115_branch(u, d: int):
+    """Cor 115 at p = 2, alpha >= 2: the branch admitting r1 = 2, "u-pm1" when
+    u = +-1 mod 8 or "zeta3" when 3 | d, and None when neither holds."""
+    if _normalize_unit(u, 2, 3).val % 8 in (1, 7):
+        return "u-pm1"
+    return "zeta3" if d % 3 == 0 else None
+
+
 @dataclass(frozen=True)
 class R1Verdict:
     admissible: tuple
@@ -269,11 +277,9 @@ def r1_max(p: int, n: int, alpha: int, d: int, u) -> R1Verdict:
     if p == 2:
         if alpha <= 1:
             return R1Verdict((1,), 1, "alpha-le-1")
-        u_res = _normalize_unit(u, 2, 3).val % 8
-        if u_res in (1, 7):
-            return R1Verdict((1, 2), 2, "cor115-u-pm1")
-        if d % 3 == 0:
-            return R1Verdict((1, 2), 2, "cor115-zeta3")
+        branch = _cor115_branch(u, d)
+        if branch:
+            return R1Verdict((1, 2), 2, f"cor115-{branch}")
         return R1Verdict((1,), 1, "cor115-trivial")
     # p odd, alpha >= 1: the p-part is excluded (trivially for alpha = 1, by
     # the non-triviality of epsilon_alpha for alpha >= 2); prime-to-p divisors
@@ -295,18 +301,18 @@ def r2_admissible(p: int, n: int, alpha: int, d: int, u, r1: int) -> R2Verdict:
         raise ValueError("[Q_p(F_0):Q_p] must divide n")
     quota = n // deg
     e0 = euler_phi_prime_power(p, alpha)
+    cap = p - 1 if p > 2 else 2
+    bound = math.gcd(e0, cap)
+    if bound % r1:
+        raise ValueError(f"r1 must divide gcd(phi(p^alpha), {cap}) = {bound}, got {r1}")
     if e0 == 1:
         coprime_to, branch = 1, "unramified"
     elif p > 2:
-        if (p - 1) % r1:
-            raise ValueError("r1 must divide p-1 here")
         coprime_to, branch = (p - 1) // r1, "thm223"
+    elif _cor115_branch(u, d):
+        coprime_to, branch = 2 // r1, "thm225-full"
     else:
-        u_res = _normalize_unit(u, 2, 3).val % 8
-        if u_res in (1, 7) or d % 3 == 0:
-            coprime_to, branch = 2 // r1, "thm225-full"
-        else:
-            coprime_to, branch = 1, "thm225-restricted"
+        coprime_to, branch = 1, "thm225-restricted"
     r_f = quota
     g = math.gcd(r_f, coprime_to)
     while g > 1:
@@ -316,7 +322,7 @@ def r2_admissible(p: int, n: int, alpha: int, d: int, u, r1: int) -> R2Verdict:
     return R2Verdict(divisors(r_f), r_f, branch, counts)
 
 
-# -- radical irreducibility --------------------------------------------------------
+# -- k-th powers: the cross-check of epsilon_test -----------------------------------
 
 
 def _strip_pi(x: FieldElem, m: int) -> FieldElem:
@@ -336,43 +342,11 @@ def _unit_is_kth_power(x: FieldElem, k: int) -> bool:
     return membership(x, subgroup_span(quotient, k, include_mu_torsion=False))
 
 
-def is_kth_power(x: FieldElem, k: int, pi_shift: int = 0) -> bool:
-    """Decide x * pi^pi_shift in (K^x)^k for the tower's fraction field."""
+def is_kth_power(x: FieldElem, k: int) -> bool:
+    """Decide x in (K^x)^k for the tower's fraction field."""
     if x.is_zero:
         raise IndeterminateAtPrecision("zero at working precision")
     m = x.pi_level()
-    if (m + pi_shift) % k:
+    if m % k:
         return False
     return _unit_is_kth_power(_strip_pi(x, m), k)
-
-
-def radical_irreducible(a: FieldElem, r: int) -> bool:
-    """Is X^r - a irreducible over the tower's fraction field?
-
-    True iff a is not a q-th power for every prime q | r, and -a/4 is not a
-    4th power when 4 | r.
-    """
-    if a.is_zero:
-        raise IndeterminateAtPrecision("a vanishes at working precision")
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    t = a.tower
-    for q in prime_factors(r):
-        if is_kth_power(a, q):
-            return False
-    if r % 4 == 0:
-        if t.p == 2:
-            if t.alpha >= 1:
-                # 1/4 = epsilon^2 * pi^(-2e)
-                eps = epsilon_alpha(t)
-                if is_kth_power(-a * eps * eps, 4, pi_shift=-2 * t.e):
-                    return False
-            else:
-                if is_kth_power(-a, 4, pi_shift=-2):
-                    return False
-        else:
-            quarter = t.from_int(4).invert()
-            if is_kth_power(-a * quarter, 4):
-                return False
-    return True
-

@@ -45,6 +45,15 @@ REJECTED = [
     # f = 0 has no residue field
     ["epsilon", "--p", "3", "--alpha", "1", "--f", "0"],
     ["classify", "--p", "3", "--n", "-2"],
+    # r1 must divide gcd(phi(p^alpha), p - 1 for odd p, 2 for p = 2): these answered
+    ["r2", "--p", "2", "--n", "4", "--alpha", "2", "--d", "3", "--r1", "3"],
+    ["r2", "--p", "2", "--n", "8", "--alpha", "3", "--d", "3", "--r1", "4"],
+    ["r2", "--p", "3", "--n", "2", "--alpha", "0", "--d", "2", "--r1", "5"],
+    # a zero torsion order divided by zero; order <= 0 and negative torsion answered
+    ["cohomology", "--torsion", "0", "--action", "1", "--order", "2"],
+    ["cohomology", "--rank", "1", "--action", "1", "--order", "0"],
+    ["cohomology", "--rank", "1", "--action", "1", "--order", "-2"],
+    ["cohomology", "--torsion=-3", "--action", "1", "--order", "2"],
 ]
 
 

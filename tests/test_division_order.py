@@ -9,7 +9,6 @@ from stabforge.order import (
     check_verdict,
     embed_q8,
     example049_elements,
-    hasse_embeds,
     order_check,
     solve_norm_equation,
     witt_norm,
@@ -186,17 +185,6 @@ def test_verify_relation_words():
     assert [r.verdict for r in out] == ["holds", "holds", "fails"]
     with pytest.raises(UnknownName):
         run_script("check nope == 1", params22())
-
-
-def test_hasse_embeds():
-    assert hasse_embeds(2, 2)
-    assert hasse_embeds(2, 6)
-    assert not hasse_embeds(2, 4)
-    assert not hasse_embeds(2, 8)
-    assert hasse_embeds(3, 12)  # 12/3 = 4 = 1 mod 3
-    assert not hasse_embeds(3, 6)
-    assert hasse_embeds(5, 5)
-    assert not hasse_embeds(3, 4)  # 3 does not divide 4
 
 
 def test_script_checks():

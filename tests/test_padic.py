@@ -10,7 +10,6 @@ from stabforge.padic import (
     hensel_sqrt,
     parse_literal,
     teichmuller_lift,
-    unit_decompose,
 )
 
 
@@ -102,37 +101,6 @@ def test_hensel_sqrt_randomized_roundtrip():
             assert r * r == sq
             # deterministic: smallest canonical representative
             assert r.val <= (-r).val
-
-
-def test_unit_decompose():
-    t, pr = unit_decompose(PadicInt(3, 6, 5))
-    assert t == PadicInt(3, 6, -1) and pr == PadicInt(3, 6, -5)
-    t, pr = unit_decompose(PadicInt(2, 6, 3))
-    assert t == PadicInt(2, 6, -1) and pr == PadicInt(2, 6, -3)
-    u = PadicInt(5, 8, 7)
-    t, pr = unit_decompose(u)
-    assert t == teichmuller_lift(2, 5, 8)
-    assert pr.val % 5 == 1
-    assert t * pr == u
-    assert t ** 4 == PadicInt(5, 8, 1)
-
-
-def test_unit_decompose_roundtrip_randomized():
-    rng = random.Random(11)
-    for p in (2, 3, 5, 7):
-        for _ in range(30):
-            n = rng.randint(2, 10)
-            u = PadicInt(p, n, rng.randrange(p**n))
-            if not u.is_unit:
-                continue
-            t, pr = unit_decompose(u)
-            assert t * pr == u
-            if p == 2:
-                assert t in (PadicInt(2, n, 1), PadicInt(2, n, -1))
-                assert pr.val % 4 == 1
-            else:
-                assert t ** (p - 1) == PadicInt(p, n, 1)
-                assert pr.val % p == 1
 
 
 def test_exact_div_by_p():

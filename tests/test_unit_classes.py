@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from stabforge import unitclasses
 from stabforge.errors import DepthTooSmall, UnsupportedParameters
 from stabforge.intarith import divisors, multiplicative_order
-from stabforge.localfield import FieldElem, FieldTower, epsilon_alpha
+from stabforge.localfield import FieldElem, FieldTower, epsilon_alpha, euler_phi_prime_power
 from stabforge.unitclasses import (
     MAX_RESIDUE_DEGREE,
     FiltrationQuotient,
@@ -18,7 +19,6 @@ from stabforge.unitclasses import (
     project_to_principal_units,
     r1_max,
     r2_admissible,
-    radical_irreducible,
     subgroup_span,
     verify_depth_closure,
 )
@@ -257,19 +257,6 @@ def test_r2_examples():
     assert v.maximal == 6
 
 
-def test_radical_irreducible_examples():
-    # odd-numerator valuation blocks squares
-    t = FieldTower.for_pi_prec(2, 1, 2, 12)
-    assert radical_irreducible(t.pi(), 2)
-    # a = -4 over Q_2(zeta_4): X^4 + 4 factors since -a/4 = 1
-    assert not radical_irreducible(t.from_int(-4), 4)
-    # a = pu over the unramified W_f is never a q-th power (valuation 1)
-    t2 = FieldTower.for_pi_prec(2, 2, 0, 10)
-    assert radical_irreducible(t2.from_int(2 * 1), 2)
-    t3 = FieldTower.for_pi_prec(3, 1, 0, 8)
-    assert radical_irreducible(t3.from_int(3 * 2), 3)
-
-
 def brute_force_root_exists(a, m):
     """Digit-DFS oracle: does x^m = a have a root in a's tower?"""
     t = a.tower
@@ -319,27 +306,35 @@ def _digits(c, p, f):
     return out
 
 
-def oracle_irreducible(a, r):
-    if r == 4:
-        return not brute_force_root_exists(a, 2) and not brute_force_root_exists(a.scale(-4), 4)
-    return not brute_force_root_exists(a, r)
-
-
-def test_radical_irreducible_vs_oracle_smoke():
-    rng = random.Random(41)
-    t = FieldTower.for_pi_prec(3, 1, 1, 24)
-    for _ in range(6):
-        a = t.from_grid([[rng.randrange(1, 27)] for _ in range(t.e)])
-        for r in (2, 3):
-            assert radical_irreducible(a, r) == oracle_irreducible(a, r)
-
-
 def test_is_kth_power_basics():
     t = FieldTower.for_pi_prec(3, 1, 1, 24)
     x = t.from_int(5)
     assert is_kth_power(x * x, 2)
     assert is_kth_power((t.one() + t.pi()) ** 3, 3)
     assert not is_kth_power(t.pi(), 2)
+
+
+def test_epsilon_test_matches_is_kth_power():
+    # eps/u lies in <F_0, U^r1> iff some zeta^a w^b eps/u is an r1-th power,
+    # with zeta generating mu_(p^alpha), w generating mu_d, a < gcd(r1, p^alpha)
+    # and b < gcd(r1, d); f = ord_d(p) <= 4 and every r1 > 1 dividing phi(p^alpha)
+    verdicts = []
+    for p, alphas, d_max in [(2, (2, 3), 15), (3, (1, 2), 8), (5, (1,), 24), (7, (1,), 48)]:
+        for alpha, d in itertools.product(alphas, range(1, d_max + 1)):
+            if d % p == 0 or multiplicative_order(p, d) > 4:
+                continue
+            f = multiplicative_order(p, d)
+            e = euler_phi_prime_power(p, alpha)
+            for r1 in divisors(e)[1:]:
+                t = FieldTower.for_pi_prec(p, f, alpha, default_depth(p, alpha, r1) + 2 * e)
+                w = t.omega() ** ((p**f - 1) // d)
+                for u in (3, 5) if p == 2 else (1, p + 2):
+                    x = epsilon_alpha(t) * t.from_int(u).invert()
+                    coset = itertools.product(range(math.gcd(r1, p**alpha)), range(math.gcd(r1, d)))
+                    want = any(is_kth_power(t.zeta() ** a * w**b * x, r1) for a, b in coset)
+                    assert epsilon_test(p, e * f, alpha, d, u, r1) == want, (p, alpha, d, u, r1)
+                    verdicts.append(want)
+    assert (len(verdicts), sum(verdicts)) == (242, 158)
 
 
 @pytest.mark.parametrize("p, alpha, k", [(2, 1, 8), (2, 2, 8), (3, 1, 9)])
