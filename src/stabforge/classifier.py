@@ -12,13 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NotApplicable, UnsupportedParameters
+from .errors import NotApplicable
 from .intarith import check_params, divisors, split_p
 from .localfield import euler_phi_prime_power
 from .unitclasses import r1_max
-
-GRID_P_MAX = 7
-GRID_N_MAX = 12
 
 
 @dataclass(frozen=True, order=True)
@@ -350,8 +347,6 @@ def _refine_n2(p: int, u_mod: int, classes):
 def maximal_in_Gn(inp: ClassificationInput) -> ClassificationReport:
     """Conjugacy classes of maximal finite subgroups of the extended group."""
     p, n = inp.p, inp.n
-    if p > GRID_P_MAX or n > GRID_N_MAX:
-        raise UnsupportedParameters(f"grid capped at p <= {GRID_P_MAX}, n <= {GRID_N_MAX}")
     if p > 2 and n % (p - 1):
         # no p-torsion: the single unramified tower class
         classes = [
@@ -382,8 +377,4 @@ def scan(p_values, n_values, u_values):
             for u in sorted(u_values):
                 if math.gcd(u, p) != 1:
                     continue
-                try:
-                    rep = maximal_in_Gn(ClassificationInput(p, n, u))
-                except UnsupportedParameters:
-                    continue
-                yield p, n, u, rep
+                yield p, n, u, maximal_in_Gn(ClassificationInput(p, n, u))

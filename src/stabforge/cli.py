@@ -14,6 +14,7 @@ import sys
 
 from . import classifier, cohomology, unitclasses
 from .errors import StabforgeError
+from .intarith import prime_factors
 from .localfield import FieldTower, epsilon_alpha
 from .order import OrderParams
 from .padic import parse_literal
@@ -65,12 +66,16 @@ def _parse_field_elem(tower, text):
     acc = tower.zero()
     for chunk in text.split("+"):
         chunk = chunk.strip()
+        if not chunk:
+            raise ValueError(f"empty term in {text!r}")
         power = 0
         coeffs = [1]
         if "[" in chunk:
             head, _, rest = chunk.partition("[")
             body = rest.rstrip("] \t")
             coeffs = [int(c) for c in body.split(",") if c.strip()]
+            if not coeffs:
+                raise ValueError(f"empty coefficient list in term {chunk!r}")
             head = head.rstrip("* \t")
         else:
             head = chunk
@@ -207,7 +212,6 @@ def build_parser():
     v.add_argument("--n", type=int, default=2)
     v.add_argument("--u", default="1")
     v.add_argument("--p-prec", type=int, default=6)
-    v.add_argument("--s-prec", type=int, default=None)
 
     ch = sub.add_parser(
         "cohomology",
@@ -217,8 +221,8 @@ def build_parser():
     )
     ch.add_argument("--rank", type=int, default=0)
     ch.add_argument("--torsion", default="", help="comma-separated orders")
-    ch.add_argument("--action", required=True, help="rows 'a,b;c,d'")
-    ch.add_argument("--order", type=int, required=True)
+    ch.add_argument("--action", help="rows 'a,b;c,d'")
+    ch.add_argument("--order", type=int)
     ch.add_argument("--golden", action="store_true", help="run the transcribed golden suite")
     ch.add_argument("--mode", choices=["json", "table"], default="json")
 
@@ -227,7 +231,7 @@ def build_parser():
 
 def _cmd_classify(args):
     if args.scan:
-        primes = [q for q in (2, 3, 5, 7) if q <= args.p_max]
+        primes = [q for q in range(2, args.p_max + 1) if prime_factors(q) == [q]]
         rows = []
         for p, n, u, rep in classifier.scan(primes, range(1, args.n_max + 1), range(1, 9)):
             rows.append({"p": p, "n": n, "u_mod": u, "classes": [c.name for c in sorted(rep.classes)]})
@@ -278,7 +282,7 @@ def _cmd_expand(args):
 def _cmd_membership(args):
     quotient = unitclasses.FiltrationQuotient.standard(args.p, args.f, args.alpha, args.k)
     tower = quotient.tower
-    if args.elem:
+    if args.elem is not None:
         x = _parse_field_elem(tower, args.elem)
     else:
         x = epsilon_alpha(tower)
@@ -330,7 +334,8 @@ def _cmd_epsilon_test(args):
 def _cmd_verify(args):
     with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
-    params = OrderParams(args.p, args.n, u=int(args.u), p_prec=args.p_prec, s_prec=args.s_prec)
+    u = unitclasses._normalize_unit(_parse_unit(args.u, args.p), args.p, args.p_prec)
+    params = OrderParams(args.p, args.n, u=u, p_prec=args.p_prec)
     results = run_script(text, params)
     ok = True
     for r in results:
@@ -346,6 +351,8 @@ def _cmd_cohomology(args):
         out = [{"tag": tag, "ok": ok} for tag, ok, _ in report]
         _emit(out, args.mode)
         return 0 if all(r["ok"] for r in out) else 1
+    if args.action is None or args.order is None:
+        raise ValueError("cohomology needs --action and --order (or --golden)")
     torsion = [int(t) for t in args.torsion.split(",") if t.strip()]
     action = [[int(x) for x in row.split(",")] for row in args.action.split(";")]
     m = cohomology.CycModule(args.rank, torsion, action, args.order)

@@ -25,14 +25,6 @@ class DepthTooSmall(StabforgeError):
     """A filtration quotient is too shallow for the requested computation."""
 
 
-class UnsupportedParameters(StabforgeError):
-    """Parameters outside the configured desk-scale grid."""
-
-
-class PrecisionTooLow(StabforgeError):
-    """Element construction needs more precision than the parameters carry."""
-
-
 class BadAction(StabforgeError):
     """A cyclic action matrix does not satisfy T^r = id or breaks the relations."""
 

@@ -220,12 +220,10 @@ class FieldTower:
         return FieldElem(self, g)
 
     def pi(self) -> "FieldElem":
-        if self.alpha == 0:
-            return self.from_int(self.p)
-        g = [[0] * self.f for _ in range(self.e)]
         if self.e == 1:
-            # e = 1 only when alpha = 0 (handled) or p = 2, alpha = 1: pi = zeta_2 - 1 = -2
-            return self.from_int(-2)
+            # pi is the root -q_0 of the linear Q: p at alpha = 0, -2 at p = 2, alpha = 1
+            return self.from_int(-self.q_coeffs[0])
+        g = [[0] * self.f for _ in range(self.e)]
         g[1][0] = 1
         return FieldElem(self, g)
 
@@ -294,8 +292,8 @@ class FieldTower:
 
     def galois_closure(self, generators):
         """All (s, t) pairs in the subgroup generated by the given pairs."""
-        mod_s = self.p**self.alpha if self.alpha >= 1 else 1
-        norm = lambda st: (st[0] % mod_s if mod_s > 1 else 0, st[1] % self.f)
+        mod_s = self.p**self.alpha
+        norm = lambda st: (st[0] % mod_s, st[1] % self.f)
         seen = {norm((1, 0))}
         frontier = [norm((1, 0))]
         gens = [norm(g) for g in generators]
@@ -305,7 +303,7 @@ class FieldTower:
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                nxt = norm((cur[0] * g[0] if mod_s > 1 else 0, cur[1] + g[1]))
+                nxt = norm((cur[0] * g[0], cur[1] + g[1]))
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -496,25 +494,23 @@ class FieldElem:
     def div_pi(self) -> "FieldElem":
         """Exact division by pi of an element divisible by pi.
 
-        Uses p = -pi R(pi) with R the cofactor of Q_alpha, so everything stays
-        inside the ring; consumes guard precision via one exact division by p.
+        Uses -q_0 = pi R(pi) with q_0 = +-p and R = (Q - q_0) / X, so everything
+        stays inside the ring; consumes guard precision via one exact division by p.
         """
         t = self.tower
         row0 = self.grid[0]
         if any(c % t.p for c in row0):
             raise NonUnit("element is not divisible by pi")
-        d0 = [c // t.p for c in row0]
-        e, f, m = t.e, t.f, t.mod
-        if t.alpha == 0:
-            return FieldElem(t, [[c % m for c in d0]])
         q = t.q_coeffs
+        d0 = [c // -q[0] for c in row0]
+        e, f, m = t.e, t.f, t.mod
         out = [[0] * f for _ in range(e)]
         for i in range(e - 1):
             a = q[i + 1]
             for j in range(f):
-                out[i][j] = (self.grid[i + 1][j] - a * d0[j]) % m
+                out[i][j] = (self.grid[i + 1][j] + a * d0[j]) % m
         for j in range(f):
-            out[e - 1][j] = (-d0[j]) % m
+            out[e - 1][j] = d0[j] % m
         return FieldElem(t, out)
 
     def pi_digit_expansion(self, n_pi: int):
@@ -561,7 +557,7 @@ class FieldElem:
         """Product over the orbit of the subgroup generated by (s, t) pairs."""
         out = self.tower.one()
         for s, t in self.tower.galois_closure(generators):
-            out = out * self.galois_act(s if s else 1, t)
+            out = out * self.galois_act(s, t)
         return out
 
     def __repr__(self):

@@ -10,31 +10,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit, PrecisionTooLow
-from .intarith import prime_factors
+from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit
+from .intarith import check_params, prime_factors
 from .localfield import FieldElem, FieldTower
 from .padic import PadicInt, hensel_sqrt
 
 
 class OrderParams:
-    """Shared context: p, n, the unit u with S^n = pu, and working precisions."""
+    """Shared context: p, n, the unit u with S^n = pu, and the working precision."""
 
-    def __init__(self, p: int, n: int, u=1, p_prec: int = 6, s_prec: int = None):
+    def __init__(self, p: int, n: int, u=1, p_prec: int = 6):
+        check_params(p, n=n, p_prec=p_prec)
         self.p = p
         self.n = n
         self.p_prec = p_prec
-        self.s_prec = s_prec if s_prec is not None else 2 * n
-        if self.s_prec < 1:
-            raise ValueError("s_prec must be >= 1")
         self.u = u if isinstance(u, PadicInt) else PadicInt(p, p_prec, u)
         if not self.u.is_unit:
             raise NonUnit("u must be a unit")
         self.witt = FieldTower(p, n, 0, p_prec)
-
-    @property
-    def confidence_prec(self) -> int:
-        # a vanishing difference certifies equality once v >= s_prec / n
-        return -(-self.s_prec // self.n)
 
     def zero(self) -> "OrderElem":
         return OrderElem(self, 0, tuple(self.witt.zero() for _ in range(self.n)))
@@ -230,8 +223,9 @@ def check_verdict(lhs: OrderElem, rhs: OrderElem) -> str:
     if not diff.is_zero:
         return "fails"
     pa = lhs.params
-    # vanishing certifies v >= p_prec + shift; hold once past s_prec / n
-    if pa.p_prec + min(diff.shift, 0) >= pa.confidence_prec:
+    # vanishing certifies v >= p_prec + shift; a relation holds once that
+    # covers 2n digits in S, where v(S) = 1/n: v >= ceil(2n / n) = 2
+    if pa.p_prec + min(diff.shift, 0) >= 2:
         return "holds"
     return "indeterminate"
 
@@ -257,7 +251,7 @@ def embed_q8(params: OrderParams):
     if (params.p, params.n) != (2, 2) or params.u.val != 1:
         raise ValueError("Q_8 embedding needs p = 2, n = 2, u = 1")
     if params.p_prec < 4:
-        raise PrecisionTooLow("need at least 4 digits for the square root of -7")
+        raise InsufficientPrecision("need at least 4 digits for the square root of -7")
     t = params.witt
     rho = hensel_sqrt(PadicInt(2, params.p_prec, -7))
     w = t.omega()
@@ -277,7 +271,7 @@ def example049_elements(params: OrderParams):
     if (params.p, params.n) != (3, 4) or params.u.val != 1:
         raise ValueError("this construction needs p = 3, n = 4, u = 1")
     if params.p_prec < 2:
-        raise PrecisionTooLow("need at least 2 digits")
+        raise InsufficientPrecision("need at least 2 digits")
     omega = params.omega()
     x = omega * params.s()
     z = x * x

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import UnknownName
+from .errors import InsufficientPrecision, UnknownName
 from .order import OrderParams, check_verdict, embed_q8, example049_elements
 from .padic import PadicInt, hensel_sqrt
 
@@ -91,7 +91,7 @@ class _Parser:
             return self.params.from_int(v)
         if kind == "name":
             if v not in self.env:
-                raise UnknownName(v)
+                raise UnknownName(f"unknown name {v!r}; defined here: {', '.join(sorted(self.env))}")
             return self.env[v]
         if (kind, v) == ("op", "("):
             val = self.expr()
@@ -114,7 +114,7 @@ def base_environment(params: OrderParams) -> dict:
     if params.p == 2:
         try:
             env["rho"] = params.scalar(hensel_sqrt(PadicInt(2, params.p_prec, -7)))
-        except Exception:
+        except InsufficientPrecision:  # -7 = 1 mod 8 is a square once p_prec >= 3
             pass
     if (params.p, params.n) == (2, 2) and params.u.val == 1:
         i, j, k = embed_q8(params)

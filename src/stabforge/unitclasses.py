@@ -19,17 +19,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    DepthTooSmall,
-    IndeterminateAtPrecision,
-    NonUnit,
-    UnsupportedParameters,
-)
+from .errors import DepthTooSmall, IndeterminateAtPrecision, InsufficientPrecision, NonUnit
 from .intarith import check_params, divisors, multiplicative_order, split_p
 from .localfield import FieldElem, FieldTower, epsilon_alpha, euler_phi_prime_power
 from .padic import PadicInt
-
-MAX_RESIDUE_DEGREE = 6  # towers beyond f = 6 are rejected as desk-scale overflow
 
 
 def default_depth(p: int, alpha: int, k: int) -> int:
@@ -200,7 +193,7 @@ def _normalize_unit(u, p: int, prec: int) -> PadicInt:
         if u.p != p:
             raise ValueError("unit has the wrong prime")
         if u.prec < prec:
-            raise UnsupportedParameters("unit precision too low for the requested test")
+            raise InsufficientPrecision("unit precision too low for the requested test")
         u = u.reduce(prec)
     else:
         u = PadicInt(p, prec, int(u))
@@ -228,8 +221,6 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
         raise ValueError("r1 must divide phi(p^alpha)")
     j, r_prime = split_p(r1, p)
     f = multiplicative_order(p, d) if d > 1 else 1
-    if f > MAX_RESIDUE_DEGREE:
-        raise UnsupportedParameters(f"residue degree {f} exceeds the desk-scale cap")
     # u mod p^(j+2) fixes the class: every element of 1 + p^(j+2) Z_p is a p^j-th power
     u = _normalize_unit(u, p, max(3, j + 2))
     q1 = p**f - 1

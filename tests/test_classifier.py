@@ -10,7 +10,7 @@ from stabforge.classifier import (
     quaternionic_extension,
     scan,
 )
-from stabforge.errors import NotApplicable, UnsupportedParameters
+from stabforge.errors import NotApplicable
 from stabforge.localfield import euler_phi_prime_power
 from stabforge.unitclasses import epsilon_test
 
@@ -139,7 +139,7 @@ def test_thm250_full_extension_branches():
 def test_epsilon_consistency_with_engine():
     # whenever the engine asserts an r1 = p-1 extension at a level, the epsilon
     # test agrees for a unit realizing the residue datum
-    cases = [(3, 2, 2), (3, 4, 4), (5, 4, 7), (3, 6, 5)]
+    cases = [(3, 2, 2), (3, 4, 4), (5, 4, 7), (3, 6, 5), (11, 10, 2), (3, 14, 2)]
     for p, n, u in cases:
         rep = maximal_in_Gn(ClassificationInput(p, n, u))
         for c in rep.classes:
@@ -152,7 +152,8 @@ def test_epsilon_consistency_with_engine():
 
 
 def test_order_arithmetic_bounds():
-    for p, n, u in [(3, 2, 1), (3, 6, 4), (2, 6, 1), (2, 6, 3), (5, 4, 2), (2, 4, 1)]:
+    cases = [(3, 2, 1), (3, 6, 4), (2, 6, 1), (2, 6, 3), (5, 4, 2), (2, 4, 1), (11, 10, 1), (3, 14, 1), (2, 16, 3)]
+    for p, n, u in cases:
         rep = maximal_in_Gn(ClassificationInput(p, n, u))
         sn = {None: None}
         for c in rep.classes:
@@ -172,13 +173,6 @@ def _odd_part(n):
     while n % 2 == 0:
         n //= 2
     return n
-
-
-def test_grid_cap():
-    with pytest.raises(UnsupportedParameters):
-        maximal_in_Gn(ClassificationInput(11, 10, 1))
-    with pytest.raises(UnsupportedParameters):
-        maximal_in_Gn(ClassificationInput(3, 14, 1))
 
 
 def test_no_p_torsion_case():

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from stabforge.classifier import ClassificationInput, maximal_in_Gn
 from stabforge.intarith import divisors
-from stabforge.unitclasses import r1_max
+from stabforge.unitclasses import epsilon_test, r1_max
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPTS = SRC / "stabforge" / "scripts"  # the working directory, so "q8.rel" resolves
@@ -54,6 +55,16 @@ REJECTED = [
     ["cohomology", "--rank", "1", "--action", "1", "--order", "0"],
     ["cohomology", "--rank", "1", "--action", "1", "--order", "-2"],
     ["cohomology", "--torsion=-3", "--action", "1", "--order", "2"],
+    # a unit literal with fewer digits than --p-prec (it was read with int())
+    ["verify", "q8.rel", "--p", "2", "--n", "2", "--u", "p:2 [1,0]"],
+    # empty terms and coefficient lists read as 1 and 0
+    ["expand", "--p", "3", "--alpha", "1", "--elem", ""],
+    ["expand", "--p", "3", "--alpha", "1", "--elem", "+"],
+    ["membership", "--p", "3", "--alpha", "2", "--k", "3", "--elem", "pi^2 +"],
+    ["membership", "--p", "3", "--alpha", "2", "--k", "3", "--elem", ""],
+    ["expand", "--p", "3", "--alpha", "2", "--elem", "pi^2 * []"],
+    # without --golden, a module needs its action and order
+    ["cohomology", "--order", "2"],
 ]
 
 
@@ -73,8 +84,41 @@ def test_bad_input_exits_2_with_message(argv):
 
 
 def test_bad_input_message_names_the_argument():
-    proc = run_cli(["classify", "--p", "3", "--n", "-2"])
-    assert proc.stderr == "error: n must be >= 1, got -2\n"
+    for argv, message in [
+        (["classify", "--p", "3", "--n", "-2"], "n must be >= 1, got -2"),
+        (["verify", "q8.rel", "--n", "0"], "n must be >= 1, got 0"),
+        (["verify", "q8.rel", "--u", "p:2 [1,0]"], "unit precision too low for the requested test"),
+        (["verify", "q8.rel", "--p", "3", "--n", "2"], "unknown name 'rho'; defined here: S, omega"),
+    ]:
+        proc = run_cli(argv)
+        assert proc.stderr == f"error: {message}\n", argv
+
+
+def test_verify_reads_a_unit_literal():
+    proc = run_cli(["verify", "q8.rel", "--p", "2", "--n", "2", "--u", "p:2 [1,0,0,0,0,0]"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("all checks hold (13 checks)\n")
+
+
+def test_cohomology_golden_needs_no_module():
+    proc = run_cli(["cohomology", "--golden"])
+    assert proc.returncode == 0, proc.stderr
+    entries = json.loads(proc.stdout)
+    assert entries and all(e["ok"] for e in entries)
+
+
+def test_answers_past_the_former_size_caps():
+    # p = 11 > 7, n = 14 > 12 and residue degree ord_2186(3) = 7 > 6 were refused
+    for p, n in [(11, 10), (3, 14)]:
+        proc = run_cli(["classify", "--p", str(p), "--n", str(n)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == maximal_in_Gn(ClassificationInput(p, n, 1)).to_json()
+    proc = run_cli(["epsilon-test", "--p", "3", "--n", "14", "--alpha", "1", "--d", "2186", "--r1", "2"])
+    assert proc.returncode == (0 if epsilon_test(3, 14, 1, 2186, 1, 2) else 1), proc.stderr
+    assert json.loads(proc.stdout)["trivial"] == epsilon_test(3, 14, 1, 2186, 1, 2)
+    # the scan sweeps every prime up to --p-max
+    proc = run_cli(["classify", "--scan", "--p-max", "13", "--n-max", "2"])
+    assert sorted({row["p"] for row in json.loads(proc.stdout)}) == [2, 3, 5, 7, 11, 13]
 
 
 def test_r1_odd_p_integer_u_answers():

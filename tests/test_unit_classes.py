@@ -5,11 +5,10 @@ import random
 import pytest
 
 from stabforge import unitclasses
-from stabforge.errors import DepthTooSmall, UnsupportedParameters
+from stabforge.errors import DepthTooSmall
 from stabforge.intarith import divisors, multiplicative_order
 from stabforge.localfield import FieldElem, FieldTower, epsilon_alpha, euler_phi_prime_power
 from stabforge.unitclasses import (
-    MAX_RESIDUE_DEGREE,
     FiltrationQuotient,
     R1Verdict,
     default_depth,
@@ -181,11 +180,11 @@ def _residue_test_reference(tower, d, r_prime, u):
 
 
 def test_residue_test_matches_the_residue_field_reference():
-    # every d of order f (p^f <= 20000, f within the cap), r' | p - 1 and unit
-    # u mod p; r1 = r' is prime to p, so epsilon_test reads only the residue
+    # every d of order f (p^f <= 20000, f <= 6), r' | p - 1 and unit u mod p;
+    # r1 = r' is prime to p, so epsilon_test reads only the residue
     cases = 0
     for p in (2, 3, 5, 7):
-        for f in range(1, MAX_RESIDUE_DEGREE + 1):
+        for f in range(1, 7):
             if p**f > 20000:
                 break
             tower = FieldTower(p, f, 1, 2)
@@ -317,24 +316,29 @@ def test_is_kth_power_basics():
 def test_epsilon_test_matches_is_kth_power():
     # eps/u lies in <F_0, U^r1> iff some zeta^a w^b eps/u is an r1-th power,
     # with zeta generating mu_(p^alpha), w generating mu_d, a < gcd(r1, p^alpha)
-    # and b < gcd(r1, d); f = ord_d(p) <= 4 and every r1 > 1 dividing phi(p^alpha)
+    # and b < gcd(r1, d); every r1 > 1 dividing phi(p^alpha); every d <= d_max
+    # with f = ord_d(p) <= 4, then d of order f = 8 at p = 2 and f = 7 at p = 3, 5
+    cases = [
+        (p, alpha, d)
+        for p, alphas, d_max in [(2, (2, 3), 15), (3, (1, 2), 8), (5, (1,), 24), (7, (1,), 48)]
+        for alpha, d in itertools.product(alphas, range(1, d_max + 1))
+        if d % p and multiplicative_order(p, d) <= 4
+    ]
+    cases += [(2, 2, d) for d in (17, 51, 85, 255)] + [(3, 1, 1093), (3, 1, 2186), (5, 1, 19531)]
     verdicts = []
-    for p, alphas, d_max in [(2, (2, 3), 15), (3, (1, 2), 8), (5, (1,), 24), (7, (1,), 48)]:
-        for alpha, d in itertools.product(alphas, range(1, d_max + 1)):
-            if d % p == 0 or multiplicative_order(p, d) > 4:
-                continue
-            f = multiplicative_order(p, d)
-            e = euler_phi_prime_power(p, alpha)
-            for r1 in divisors(e)[1:]:
-                t = FieldTower.for_pi_prec(p, f, alpha, default_depth(p, alpha, r1) + 2 * e)
-                w = t.omega() ** ((p**f - 1) // d)
-                for u in (3, 5) if p == 2 else (1, p + 2):
-                    x = epsilon_alpha(t) * t.from_int(u).invert()
-                    coset = itertools.product(range(math.gcd(r1, p**alpha)), range(math.gcd(r1, d)))
-                    want = any(is_kth_power(t.zeta() ** a * w**b * x, r1) for a, b in coset)
-                    assert epsilon_test(p, e * f, alpha, d, u, r1) == want, (p, alpha, d, u, r1)
-                    verdicts.append(want)
-    assert (len(verdicts), sum(verdicts)) == (242, 158)
+    for p, alpha, d in cases:
+        f = multiplicative_order(p, d)
+        e = euler_phi_prime_power(p, alpha)
+        for r1 in divisors(e)[1:]:
+            t = FieldTower.for_pi_prec(p, f, alpha, default_depth(p, alpha, r1) + 2 * e)
+            w = t.omega() ** ((p**f - 1) // d)
+            for u in (3, 5) if p == 2 else (1, p + 2):
+                x = epsilon_alpha(t) * t.from_int(u).invert()
+                coset = itertools.product(range(math.gcd(r1, p**alpha)), range(math.gcd(r1, d)))
+                want = any(is_kth_power(t.zeta() ** a * w**b * x, r1) for a, b in coset)
+                assert epsilon_test(p, e * f, alpha, d, u, r1) == want, (p, alpha, d, u, r1)
+                verdicts.append(want)
+    assert (len(verdicts), sum(verdicts)) == (258, 170)
 
 
 @pytest.mark.parametrize("p, alpha, k", [(2, 1, 8), (2, 2, 8), (3, 1, 9)])
@@ -352,7 +356,3 @@ def test_is_kth_power_at_higher_p_powers(p, alpha, k):
             verdicts.append(want)
     assert True in verdicts and False in verdicts
 
-
-def test_unsupported_residue_degree():
-    with pytest.raises(UnsupportedParameters):
-        epsilon_test(3, 14, 1, 3**7 - 1, 1, 2)
