@@ -18,7 +18,7 @@ from .intarith import prime_factors
 from .localfield import FieldTower, epsilon_alpha
 from .order import OrderParams
 from .padic import parse_literal
-from .relscript import run_script
+from .relscript import eval_expr, run_script
 
 
 def _emit(obj, mode="json"):
@@ -46,7 +46,7 @@ def _emit_table(obj, prefix=""):
 
 def _parse_unit(text, p):
     """An integer --u as an int, a 'p:' literal as a PadicInt at its own
-    precision; unitclasses._normalize_unit checks it against what a test needs."""
+    precision; unitclasses.normalize_unit checks it against what a test needs."""
     text = text.strip()
     if not text.startswith("p:"):
         return int(text)
@@ -57,45 +57,12 @@ def _parse_unit(text, p):
 
 
 def _parse_field_elem(tower, text):
-    """Sum of 'pi^i * [c0,c1,...]' terms, or a plain integer."""
-    text = text.strip()
-    try:
-        return tower.from_int(int(text))
-    except ValueError:
-        pass
-    acc = tower.zero()
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError(f"empty term in {text!r}")
-        power = 0
-        coeffs = [1]
-        if "[" in chunk:
-            head, _, rest = chunk.partition("[")
-            body = rest.rstrip("] \t")
-            coeffs = [int(c) for c in body.split(",") if c.strip()]
-            if not coeffs:
-                raise ValueError(f"empty coefficient list in term {chunk!r}")
-            head = head.rstrip("* \t")
-        else:
-            head = chunk
-        head = head.strip()
-        if head:
-            if not head.startswith("pi"):
-                raise ValueError(f"bad term {chunk!r}")
-            if head.startswith("pi^"):
-                power = int(head[3:])
-            elif head == "pi":
-                power = 1
-            else:
-                raise ValueError(f"bad term {chunk!r}")
-        grid = [[0] * tower.f for _ in range(tower.e)]
-        for j, c in enumerate(coeffs):
-            if j >= tower.f:
-                raise ValueError("coefficient list longer than the residue degree")
-            grid[0][j] = c
-        acc = acc + tower.from_grid(grid) * tower.pi() ** power
-    return acc
+    """An element in relscript's grammar, with pi the uniformizer."""
+    return eval_expr(text, {"pi": tower.pi()}, tower)
+
+
+# relscript's grammar, which reads both --elem and verify scripts
+_GRAMMAR = "+, -, *, ^ (x^-k inverts, -2^2 = -4), parentheses, integers, names and lists [c0,c1,...] = sum c_j beta^j"
 
 
 def _digits_json(digits, f):
@@ -149,7 +116,9 @@ def build_parser():
     x.add_argument("--p", type=int, required=True)
     x.add_argument("--alpha", type=int, required=True)
     x.add_argument("--f", type=int, default=1)
-    x.add_argument("--elem", required=True, help="integer or 'pi^i * [c0,c1,...] + ...'")
+    x.add_argument(
+        "--elem", required=True, help=f"element such as 'pi^i * [c0,c1,...] + ...', pi the uniformizer: {_GRAMMAR}"
+    )
     x.add_argument("--pi-prec", type=int, default=None)
     x.add_argument("--mode", choices=["json", "table"], default="json")
 
@@ -163,7 +132,7 @@ def build_parser():
     m.add_argument("--alpha", type=int, required=True)
     m.add_argument("--f", type=int, default=1)
     m.add_argument("--k", type=int, required=True)
-    m.add_argument("--elem", help="element literal; defaults to epsilon_alpha")
+    m.add_argument("--elem", help="element literal, as for expand; defaults to epsilon_alpha")
     m.add_argument("--u", default="1", help="divide the element by this unit")
     m.add_argument("--no-mu", action="store_true", help="span without the torsion generator")
     m.add_argument("--mode", choices=["json", "table"], default="json")
@@ -205,7 +174,7 @@ def build_parser():
         "verify",
         help="run a relation script against the order",
         description="Evaluates 'name := expr' and 'check a == b' lines over "
-        "W_n<S> (remark210/example049 relation suites); exit 0 iff all hold.",
+        f"W_n<S> (remark210/example049 relation suites); exit 0 iff all hold.  Expressions: {_GRAMMAR}.",
     )
     v.add_argument("script", help="path to the .rel file")
     v.add_argument("--p", type=int, default=2)
@@ -286,7 +255,7 @@ def _cmd_membership(args):
         x = _parse_field_elem(tower, args.elem)
     else:
         x = epsilon_alpha(tower)
-    u = unitclasses._normalize_unit(_parse_unit(args.u, args.p), args.p, tower.prec)
+    u = unitclasses.normalize_unit(_parse_unit(args.u, args.p), args.p, tower.prec)
     x = x * tower.from_int(u.val).invert()
     span = unitclasses.subgroup_span(quotient, args.k, include_mu_torsion=not args.no_mu)
     member = unitclasses.membership(x, span)
@@ -334,8 +303,7 @@ def _cmd_epsilon_test(args):
 def _cmd_verify(args):
     with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
-    u = unitclasses._normalize_unit(_parse_unit(args.u, args.p), args.p, args.p_prec)
-    params = OrderParams(args.p, args.n, u=u, p_prec=args.p_prec)
+    params = OrderParams(args.p, args.n, u=_parse_unit(args.u, args.p), p_prec=args.p_prec)
     results = run_script(text, params)
     ok = True
     for r in results:

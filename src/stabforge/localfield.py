@@ -20,6 +20,7 @@ generates F_q^x.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -29,6 +30,21 @@ from .intarith import check_params, prime_factors, split_p
 
 def euler_phi_prime_power(p: int, alpha: int) -> int:
     return 1 if alpha == 0 else (p - 1) * p ** (alpha - 1)
+
+
+def binary_power(x, k: int, one, mul=operator.mul):
+    """x^k by square-and-multiply from one, with multiply mul; x is inverted
+    first when k < 0."""
+    if k < 0:
+        x, k = x.invert(), -k
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
 
 
 def q_alpha_coeffs(p: int, alpha: int):
@@ -95,13 +111,7 @@ class ResidueField:
         return self.reduce(prod)
 
     def pow(self, a, k: int):
-        out = self.one
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return out
+        return binary_power(a, k, self.one, self.mul)
 
     def is_primitive(self) -> bool:
         """g is irreducible and X generates F_q^x: the tests unramified_poly applies."""
@@ -217,6 +227,14 @@ class FieldTower:
 
     def from_grid(self, grid) -> "FieldElem":
         g = [[int(grid[i][j]) % self.mod for j in range(self.f)] for i in range(self.e)]
+        return FieldElem(self, g)
+
+    def from_beta_coeffs(self, coeffs) -> "FieldElem":
+        """sum c_j beta^j, an element of the unramified part W_f."""
+        if len(coeffs) > self.f:
+            raise ValueError("coefficient list longer than the residue degree")
+        g = [[0] * self.f for _ in range(self.e)]
+        g[0][: len(coeffs)] = [c % self.mod for c in coeffs]
         return FieldElem(self, g)
 
     def pi(self) -> "FieldElem":
@@ -431,16 +449,7 @@ class FieldElem:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "FieldElem":
-        if k < 0:
-            return self.invert() ** (-k)
-        result = self.tower.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return binary_power(self, k, self.tower.one())
 
     def invert(self) -> "FieldElem":
         """Inverse of a unit by Newton iteration from the residue-field inverse."""

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit
 from .intarith import check_params, prime_factors
-from .localfield import FieldElem, FieldTower
+from .localfield import FieldElem, FieldTower, binary_power
 from .padic import PadicInt, hensel_sqrt
+from .unitclasses import normalize_unit
 
 
 class OrderParams:
@@ -24,9 +25,7 @@ class OrderParams:
         self.p = p
         self.n = n
         self.p_prec = p_prec
-        self.u = u if isinstance(u, PadicInt) else PadicInt(p, p_prec, u)
-        if not self.u.is_unit:
-            raise NonUnit("u must be a unit")
+        self.u = normalize_unit(u, p, p_prec)
         self.witt = FieldTower(p, n, 0, p_prec)
 
     def zero(self) -> "OrderElem":
@@ -44,6 +43,10 @@ class OrderParams:
         q, r = divmod(s_power, self.n)
         coeffs[r] = w * self.witt.from_int((self.p * self.u.val) ** q) if q else w
         return OrderElem(self, 0, tuple(coeffs))
+
+    def from_beta_coeffs(self, coeffs) -> "OrderElem":
+        """sum c_j beta^j in W_n."""
+        return self.from_witt(self.witt.from_beta_coeffs(coeffs))
 
     def s(self) -> "OrderElem":
         return self.from_witt(self.witt.one(), 1)
@@ -145,16 +148,7 @@ class OrderElem:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.invert() ** (-k)
-        out, base = self.params.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return out
+        return binary_power(self, k, self.params.one())
 
     # -- valuation / inversion -------------------------------------------------
 

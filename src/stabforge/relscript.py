@@ -1,8 +1,14 @@
 """Relation scripts: `name := expr` definitions and `check lhs == rhs` lines.
 
-Expressions use +, -, *, ^ (integer exponents, negative means inversion),
-parentheses, integer literals and named constants.  The base environment
-provides S, omega and, for p = 2, n = 2, rho with rho^2 = -7.
+One grammar reads these expressions and the CLI's --elem literals:
++, -, *, ^ (or **) with integer exponents, parentheses, integer literals,
+names, and lists [c0, c1, ...] of integer literals, each optionally negated:
+the element sum c_j beta^j of the ring's unramified part.  Unary minus binds
+looser than ^, so -2^2 = -4, and x^-k is the inverse of x^k.  The ring is
+anything with from_int and from_beta_coeffs: an OrderParams here, a
+FieldTower for --elem, where the name pi is the uniformizer.  The base
+environment of a script provides S, omega and, for p = 2, rho with
+rho^2 = -7.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from .errors import InsufficientPrecision, UnknownName
 from .order import OrderParams, check_verdict, embed_q8, example049_elements
 from .padic import PadicInt, hensel_sqrt
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*^=]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()\[\],+\-*^=]))")
 
 
 def _tokenize(text: str):
@@ -38,11 +44,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, env, params):
+    def __init__(self, tokens, env, ring):
         self.toks = tokens
         self.i = 0
         self.env = env
-        self.params = params
+        self.ring = ring
 
     def peek(self):
         return self.toks[self.i]
@@ -67,28 +73,33 @@ class _Parser:
             val = val * self.factor()
         return val
 
-    def factor(self):
+    def signs(self):
+        """The sign of a run of unary minuses."""
         sign = 1
         while self.peek() == ("op", "-"):
             self.take()
             sign = -sign
+        return sign
+
+    def integer(self, what):
+        sign = self.signs()
+        kind, k = self.take()
+        if kind != "int":
+            raise ValueError(f"{what} must be an integer literal")
+        return sign * k
+
+    def factor(self):
+        sign = self.signs()
         val = self.atom()
         while self.peek() == ("op", "^"):
             self.take()
-            esign = 1
-            while self.peek() == ("op", "-"):
-                self.take()
-                esign = -esign
-            kind, k = self.take()
-            if kind != "int":
-                raise ValueError("exponent must be an integer literal")
-            val = val ** (esign * k)
+            val = val ** self.integer("exponent")
         return val if sign == 1 else -val
 
     def atom(self):
         kind, v = self.take()
         if kind == "int":
-            return self.params.from_int(v)
+            return self.ring.from_int(v)
         if kind == "name":
             if v not in self.env:
                 raise UnknownName(f"unknown name {v!r}; defined here: {', '.join(sorted(self.env))}")
@@ -98,14 +109,25 @@ class _Parser:
             if self.take() != ("op", ")"):
                 raise ValueError("missing ')'")
             return val
-        raise ValueError(f"unexpected token {kind} {v!r}")
+        if (kind, v) == ("op", "["):
+            coeffs = [self.integer("coefficient")]
+            while self.peek() == ("op", ","):
+                self.take()
+                coeffs.append(self.integer("coefficient"))
+            if self.take() != ("op", "]"):
+                raise ValueError("missing ']'")
+            return self.ring.from_beta_coeffs(coeffs)
+        raise ValueError("unexpected end of input" if kind == "end" else f"unexpected {v!r}")
 
 
-def eval_expr(text: str, env: dict, params: OrderParams):
-    p = _Parser(_tokenize(text), env, params)
-    val = p.expr()
-    if p.peek() != ("end", None):
-        raise ValueError(f"trailing input in {text!r}")
+def eval_expr(text: str, env: dict, ring):
+    try:
+        p = _Parser(_tokenize(text), env, ring)
+        val = p.expr()
+        if p.peek() != ("end", None):
+            raise ValueError(f"unexpected {p.peek()[1]!r} after a complete expression")
+    except ValueError as exc:
+        raise ValueError(f"bad expression {text.strip()!r}: {exc}") from None
     return val
 
 

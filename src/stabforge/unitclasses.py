@@ -187,7 +187,7 @@ def verify_depth_closure(p: int, alpha: int, k: int) -> bool:
 # -- the epsilon test and r1 ------------------------------------------------------
 
 
-def _normalize_unit(u, p: int, prec: int) -> PadicInt:
+def normalize_unit(u, p: int, prec: int) -> PadicInt:
     """u (an integer, or a PadicInt known to at least prec digits) as a unit mod p^prec."""
     if isinstance(u, PadicInt):
         if u.p != p:
@@ -222,7 +222,7 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
     j, r_prime = split_p(r1, p)
     f = multiplicative_order(p, d) if d > 1 else 1
     # u mod p^(j+2) fixes the class: every element of 1 + p^(j+2) Z_p is a p^j-th power
-    u = _normalize_unit(u, p, max(3, j + 2))
+    u = normalize_unit(u, p, max(3, j + 2))
     q1 = p**f - 1
     if pow(-pow(u.val, -1, p), q1 // math.gcd(q1 // d, r_prime), p) != 1:
         return False
@@ -237,7 +237,7 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
 def _cor115_branch(u, d: int):
     """Cor 115 at p = 2, alpha >= 2: the branch admitting r1 = 2, "u-pm1" when
     u = +-1 mod 8 or "zeta3" when 3 | d, and None when neither holds."""
-    if _normalize_unit(u, 2, 3).val % 8 in (1, 7):
+    if normalize_unit(u, 2, 3).val % 8 in (1, 7):
         return "u-pm1"
     return "zeta3" if d % 3 == 0 else None
 
@@ -261,7 +261,7 @@ def r1_max(p: int, n: int, alpha: int, d: int, u) -> R1Verdict:
     """Largest r1 with a valuation-1/r1 extension of F_0 x <pu>, with the
     divisor-closed admissible set and the deciding theorem branch."""
     check_params(p, alpha, n=n, d=d)
-    _normalize_unit(u, p, 1)
+    normalize_unit(u, p, 1)
     if alpha == 0:
         return R1Verdict((1,), 1, "cor202-alpha0" if p > 2 else "alpha-le-1")
     n_alpha = n // euler_phi_prime_power(p, alpha)
@@ -285,7 +285,7 @@ def r2_admissible(p: int, n: int, alpha: int, d: int, u, r1: int) -> R2Verdict:
     """Divisors r2 admitting a degree-r2 field extension of Q_p(F_0) inside the
     algebra, via the greatest allowed divisor of n/[Q_p(F_0):Q_p]."""
     check_params(p, alpha, n=n, d=d, r1=r1)
-    _normalize_unit(u, p, 1)
+    normalize_unit(u, p, 1)
     f = multiplicative_order(p, d) if d > 1 else 1
     deg = euler_phi_prime_power(p, alpha) * f
     if n % deg:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from stabforge.classifier import ClassificationInput, maximal_in_Gn
+from stabforge.cli import _parse_field_elem
 from stabforge.intarith import divisors
+from stabforge.localfield import FieldTower
 from stabforge.unitclasses import epsilon_test, r1_max
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -63,13 +65,20 @@ REJECTED = [
     ["membership", "--p", "3", "--alpha", "2", "--k", "3", "--elem", "pi^2 +"],
     ["membership", "--p", "3", "--alpha", "2", "--k", "3", "--elem", ""],
     ["expand", "--p", "3", "--alpha", "2", "--elem", "pi^2 * []"],
+    # an empty coefficient was dropped, a missing ']' ignored, an empty exponent failed in int()
+    ["expand", "--p", "3", "--alpha", "1", "--f", "2", "--pi-prec", "3", "--elem", "pi * [1,,2]"],
+    ["expand", "--p", "3", "--alpha", "1", "--f", "2", "--pi-prec", "3", "--elem", "pi * [1"],
+    ["expand", "--p", "3", "--alpha", "1", "--f", "2", "--pi-prec", "3", "--elem", "pi^ * [1]"],
+    # a product needs its '*'
+    ["expand", "--p", "3", "--alpha", "1", "--f", "2", "--pi-prec", "3", "--elem", "pi^2 [1,2]"],
     # without --golden, a module needs its action and order
     ["cohomology", "--order", "2"],
 ]
 
 
-def run_cli(argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+def run_cli(argv, **env_vars):
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "stabforge.cli", *argv], capture_output=True, text=True, timeout=10, env=env, cwd=SCRIPTS
     )
@@ -89,9 +98,79 @@ def test_bad_input_message_names_the_argument():
         (["verify", "q8.rel", "--n", "0"], "n must be >= 1, got 0"),
         (["verify", "q8.rel", "--u", "p:2 [1,0]"], "unit precision too low for the requested test"),
         (["verify", "q8.rel", "--p", "3", "--n", "2"], "unknown name 'rho'; defined here: S, omega"),
+        (["verify", "q8.rel", "--p-prec", "0"], "p_prec must be >= 1, got 0"),
+    ] + [
+        (
+            ["expand", "--p", "3", "--alpha", "1", "--f", "2", "--pi-prec", "3", "--elem", elem],
+            f"bad expression {elem!r}: {why}",
+        )
+        for elem, why in [
+            ("pi * [1,,2]", "coefficient must be an integer literal"),
+            ("pi * [1", "missing ']'"),
+            ("pi^ * [1]", "exponent must be an integer literal"),
+        ]
     ]:
         proc = run_cli(argv)
         assert proc.stderr == f"error: {message}\n", argv
+
+
+def test_elem_literals_read_the_script_grammar():
+    t = FieldTower.for_pi_prec(3, 2, 1, 3)
+    pi = t.pi()
+    assert _parse_field_elem(t, "pi^2 * [1,2] + [4]") == pi**2 * (1 + 2 * t.beta()) + 4
+    assert _parse_field_elem(t, "-7") == t.from_int(-7)
+    assert _parse_field_elem(t, "[-1, 2]") == 2 * t.beta() - 1
+    # a list, pi and integers combine like any other operands
+    assert _parse_field_elem(t, "[1,2] * pi") == _parse_field_elem(t, "pi * [1, 2]")
+    assert _parse_field_elem(t, "pi*pi") == pi**2
+    assert _parse_field_elem(t, "(1+pi)^3") == t.zeta() ** 3
+
+
+def test_false_verdicts_exit_1():
+    proc = run_cli(["membership", "--p", "3", "--alpha", "2", "--k", "3"])
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["member"] is False
+
+
+def test_failed_check_exits_1(tmp_path):
+    script = tmp_path / "commute.rel"
+    script.write_text("check S * omega == omega * S\n")
+    proc = run_cli(["verify", str(script)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "line 1: fails: check S * omega == omega * S\nsome checks failed (1 checks)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["r2", "--p", "2", "--n", "8", "--alpha", "2", "--d", "5", "--r1", "1", "--u", "3"],
+        ["classify", "--p", "2", "--n", "6", "--abelian"],
+        ["cohomology", "--golden"],
+        ["classify", "--scan", "--p-max", "5", "--n-max", "4"],
+    ],
+    ids=" ".join,
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    first, second = (run_cli(argv, PYTHONHASHSEED=seed) for seed in ("1", "77"))
+    assert first.returncode == 0, first.stderr
+    assert first.stdout and first.stdout == second.stdout
+
+
+def test_table_mode():
+    proc = run_cli(["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--mode", "table"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "admissible:\n  1\n  2\nbranch: cor202\nmaximal: 2\n"
+    proc = run_cli(["classify", "--scan", "--mode", "table", "--p-max", "3", "--n-max", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        *(f"p=2 n=1 u={u}: C2:G" for u in (1, 3, 5, 7)),
+        "p=2 n=2 u=1: C6:C2, O48",
+        "p=2 n=2 u=3: D8, C3:C4, C6:C2, T24",
+        "p=2 n=2 u=5: Q8, C3:C4, C6:C2, T24",
+        "p=2 n=2 u=7: C3:C4, T24:C2",
+        *(f"p=3 n=1 u={u}: C2:C1" for u in (1, 2, 4, 5, 7, 8)),
+        *(f"p=3 n=2 u={u}: SD16, C3:{'Q8' if u % 3 == 1 else 'D8'}" for u in (1, 2, 4, 5, 7, 8)),
+    ]
 
 
 def test_verify_reads_a_unit_literal():

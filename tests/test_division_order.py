@@ -217,3 +217,13 @@ def test_eval_expr_precedence():
     assert eval_expr("(2 + 3) * 4", env, pa) == pa.from_int(20)
     assert eval_expr("-2^2", env, pa) == pa.from_int(-4)
     assert eval_expr("3^-1 * 3", env, pa) == pa.one()
+
+
+def test_eval_expr_lists_are_witt_vectors():
+    pa = params22()
+    env = base_environment(pa)
+    assert eval_expr("[3]", env, pa) == pa.from_int(3)
+    assert eval_expr("[0, 1]", env, pa) == pa.from_witt(pa.witt.beta())
+    assert eval_expr("[1, -1] * S", env, pa) == pa.from_witt(pa.witt.one() - pa.witt.beta(), 1)
+    with pytest.raises(ValueError, match="coefficient list longer than the residue degree"):
+        eval_expr("[1, 2, 3]", env, pa)
