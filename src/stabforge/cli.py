@@ -4,11 +4,15 @@ epsilon-test, verify, cohomology.
 Exit codes: 0 for success / true verdicts, 1 for false verdicts or failed
 checks, 2 for usage errors.  JSON output is byte-deterministic for identical
 inputs.
+
+`main(argv)` may be called many times in one process: the argparse parser is
+built on the first call and reused, since parsing keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -71,6 +75,7 @@ def _digits_json(digits, f):
     return [list(d) for d in digits]
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="stabforge",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InsufficientPrecision, UnknownName
+from .errors import InsufficientPrecision, StabforgeError, UnknownName
 from .order import OrderParams, check_verdict, embed_q8, example049_elements
 from .padic import PadicInt, hensel_sqrt
 
@@ -158,6 +158,13 @@ def run_script(text: str, params: OrderParams):
     """Execute a relation script; returns the list of check results."""
     env = base_environment(params)
     results = []
+
+    def evaluate(expr_text):
+        try:
+            return eval_expr(expr_text, env, params)
+        except (ValueError, StabforgeError) as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -167,15 +174,15 @@ def run_script(text: str, params: OrderParams):
             lhs_text, sep, rhs_text = body.partition("==")
             if not sep:
                 raise ValueError(f"line {line_no}: check needs '=='")
-            lhs = eval_expr(lhs_text, env, params)
-            rhs = eval_expr(rhs_text, env, params)
+            lhs = evaluate(lhs_text)
+            rhs = evaluate(rhs_text)
             results.append(CheckResult(line_no, line, check_verdict(lhs, rhs)))
         elif ":=" in line:
             name, _, body = line.partition(":=")
             name = name.strip()
             if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
                 raise ValueError(f"line {line_no}: bad name {name!r}")
-            env[name] = eval_expr(body, env, params)
+            env[name] = evaluate(body)
         else:
             raise ValueError(f"line {line_no}: expected 'name := expr' or 'check a == b'")
     return results

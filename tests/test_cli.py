@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from stabforge.classifier import ClassificationInput, maximal_in_Gn
-from stabforge.cli import _parse_field_elem
+from stabforge.cli import _parse_field_elem, build_parser, main
 from stabforge.intarith import divisors
 from stabforge.localfield import FieldTower
 from stabforge.unitclasses import epsilon_test, r1_max
@@ -92,12 +94,17 @@ def test_bad_input_exits_2_with_message(argv):
     assert "Traceback" not in proc.stderr
 
 
-def test_bad_input_message_names_the_argument():
+def test_bad_input_message_names_the_argument(tmp_path):
+    # an expression error in a script names its line
+    (tmp_path / "power.rel").write_text("x := S\ncheck S ** == S\n")
+    (tmp_path / "name.rel").write_text("x := S\n\ny := x * rho2\n")
     for argv, message in [
+        (["verify", str(tmp_path / "power.rel")], "line 2: bad expression 'S **': exponent must be an integer literal"),
+        (["verify", str(tmp_path / "name.rel"), "--p", "3"], "line 3: unknown name 'rho2'; defined here: S, omega, x"),
         (["classify", "--p", "3", "--n", "-2"], "n must be >= 1, got -2"),
         (["verify", "q8.rel", "--n", "0"], "n must be >= 1, got 0"),
         (["verify", "q8.rel", "--u", "p:2 [1,0]"], "unit precision too low for the requested test"),
-        (["verify", "q8.rel", "--p", "3", "--n", "2"], "unknown name 'rho'; defined here: S, omega"),
+        (["verify", "q8.rel", "--p", "3", "--n", "2"], "line 3: unknown name 'rho'; defined here: S, omega"),
         (["verify", "q8.rel", "--p-prec", "0"], "p_prec must be >= 1, got 0"),
     ] + [
         (
@@ -138,6 +145,30 @@ def test_failed_check_exits_1(tmp_path):
     proc = run_cli(["verify", str(script)])
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == "line 1: fails: check S * omega == omega * S\nsome checks failed (1 checks)\n"
+
+
+def test_main_can_be_called_again_in_one_process(monkeypatch):
+    # the parser is built once per process; each call must still answer as a fresh process does
+    monkeypatch.chdir(SCRIPTS)
+    r1 = ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2"]
+    for argv in [
+        ["classify", "--p", "x"],  # argparse error: SystemExit(2)
+        r1,
+        ["membership", "--p", "3", "--alpha", "2", "--k", "3"],  # exit 1
+        ["classify", "--p", "3", "--n", "-2"],  # ValueError: exit 2
+        ["verify", "q8.rel"],
+        [*r1, "--mode", "table"],
+        r1,
+    ]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        proc = run_cli(argv)
+        assert (rc, out.getvalue(), err.getvalue()) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize(
