@@ -18,7 +18,7 @@ import sys
 
 from . import classifier, cohomology, unitclasses
 from .errors import StabforgeError
-from .intarith import prime_factors
+from .intarith import check_params, prime_factors
 from .localfield import FieldTower, epsilon_alpha
 from .order import OrderParams
 from .padic import parse_literal
@@ -48,16 +48,11 @@ def _emit_table(obj, prefix=""):
         sys.stdout.write(f"{prefix}{obj}\n")
 
 
-def _parse_unit(text, p):
+def _parse_unit(text):
     """An integer --u as an int, a 'p:' literal as a PadicInt at its own
-    precision; unitclasses.normalize_unit checks it against what a test needs."""
-    text = text.strip()
-    if not text.startswith("p:"):
-        return int(text)
-    x = parse_literal(text)
-    if x.p != p:
-        raise ValueError("unit literal has the wrong prime")
-    return x
+    precision; unitclasses.normalize_unit checks its prime and precision
+    against what a test needs."""
+    return parse_literal(text) if text.strip().startswith("p:") else int(text)
 
 
 def _parse_field_elem(tower, text):
@@ -229,9 +224,16 @@ def _cmd_classify(args):
     return 0
 
 
-def _cmd_epsilon(args):
+def _tower_at_pi_prec(args):
+    """The tower of epsilon and expand and its pi-adic precision, --pi-prec or
+    p^alpha + 2; the parameters are checked before p^alpha is computed."""
+    check_params(args.p, args.alpha, f=args.f)
     n_pi = args.p**args.alpha + 2 if args.pi_prec is None else args.pi_prec
-    tower = FieldTower.for_pi_prec(args.p, args.f, args.alpha, n_pi)
+    return FieldTower.for_pi_prec(args.p, args.f, args.alpha, n_pi), n_pi
+
+
+def _cmd_epsilon(args):
+    tower, n_pi = _tower_at_pi_prec(args)
     eps = epsilon_alpha(tower)
     out = {
         "p": args.p,
@@ -245,8 +247,7 @@ def _cmd_epsilon(args):
 
 
 def _cmd_expand(args):
-    n_pi = args.p**args.alpha + 2 if args.pi_prec is None else args.pi_prec
-    tower = FieldTower.for_pi_prec(args.p, args.f, args.alpha, n_pi)
+    tower, n_pi = _tower_at_pi_prec(args)
     x = _parse_field_elem(tower, args.elem)
     digits = x.pi_digit_expansion(n_pi)
     _emit({"digits": _digits_json(digits, args.f), "precision": n_pi}, args.mode)
@@ -260,7 +261,7 @@ def _cmd_membership(args):
         x = _parse_field_elem(tower, args.elem)
     else:
         x = epsilon_alpha(tower)
-    u = unitclasses.normalize_unit(_parse_unit(args.u, args.p), args.p, tower.prec)
+    u = unitclasses.normalize_unit(_parse_unit(args.u), args.p, tower.prec)
     x = x * tower.from_int(u.val).invert()
     span = unitclasses.subgroup_span(quotient, args.k, include_mu_torsion=not args.no_mu)
     member = unitclasses.membership(x, span)
@@ -277,14 +278,14 @@ def _cmd_membership(args):
 
 
 def _cmd_r1(args):
-    u = _parse_unit(args.u, args.p)
+    u = _parse_unit(args.u)
     v = unitclasses.r1_max(args.p, args.n, args.alpha, args.d, u)
     _emit({"admissible": list(v.admissible), "maximal": v.maximal, "branch": v.branch}, args.mode)
     return 0
 
 
 def _cmd_r2(args):
-    u = _parse_unit(args.u, args.p)
+    u = _parse_unit(args.u)
     v = unitclasses.r2_admissible(args.p, args.n, args.alpha, args.d, u, args.r1)
     _emit(
         {
@@ -299,7 +300,7 @@ def _cmd_r2(args):
 
 
 def _cmd_epsilon_test(args):
-    u = _parse_unit(args.u, args.p)
+    u = _parse_unit(args.u)
     ok = unitclasses.epsilon_test(args.p, args.n, args.alpha, args.d, u, args.r1)
     _emit({"trivial": ok, "r1": args.r1, "branch": "thm098"}, args.mode)
     return 0 if ok else 1
@@ -308,7 +309,7 @@ def _cmd_epsilon_test(args):
 def _cmd_verify(args):
     with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
-    params = OrderParams(args.p, args.n, u=_parse_unit(args.u, args.p), p_prec=args.p_prec)
+    params = OrderParams(args.p, args.n, u=_parse_unit(args.u), p_prec=args.p_prec)
     results = run_script(text, params)
     ok = True
     for r in results:

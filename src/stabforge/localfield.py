@@ -8,7 +8,12 @@ computed on demand.
 
 The order of an element x is its integer pi-level (FieldElem.pi_level): the
 largest i with x in pi^i O, so a unit 1 + x lies in U_i = 1 + pi^i O and not
-in U_(i+1).  The normalized valuation, v(p) = 1, is pi-level / e.
+in U_(i+1).  p has pi-level e, so pi-level is e times the valuation normalized
+by v(p) = 1.
+
+The Galois action computed with is the Frobenius sigma, which fixes pi: the
+extended group twists by w -> w^sigma only.  FieldElem.galois_act(t) is
+sigma^t, one Z/p^prec-linear map per t mod f applied to each pi-row.
 
 The residue field F_q = F_p[X]/(g), g = unramified_poly(p, f), is one
 ResidueField per tower (tower.residue).  Its elements, the residue vectors
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit
@@ -193,20 +197,17 @@ class FieldTower:
         else:
             self.q_coeffs = (-p, 1)  # pi = p when there is no ramification
         self._teich_cache = {}
-        self._frob_cache = {}
+        self._frob_cache = {}  # t mod f -> the columns of sigma^t on a pi-row (FieldElem.galois_act)
 
     @classmethod
     def for_pi_prec(cls, p: int, f: int, alpha: int, n_pi: int) -> "FieldTower":
         """Tower whose coefficient precision supports pi-adic work mod pi^n_pi,
         with two guard digits for exact divisions."""
+        check_params(p, alpha, f=f)
         if n_pi < 1:
             raise ValueError(f"pi-adic precision must be >= 1, got {n_pi}")
         e = euler_phi_prime_power(p, alpha)
         return cls(p, f, alpha, -(-n_pi // e) + 2)
-
-    @property
-    def degree(self) -> int:
-        return self.e * self.f
 
     @property
     def pi_prec(self) -> int:
@@ -288,50 +289,21 @@ class FieldTower:
     def frobenius_beta(self, t: int) -> "FieldElem":
         """sigma^t(beta): the root of the defining polynomial congruent to beta^(p^t)."""
         t %= self.f
-        hit = self._frob_cache.get(t)
-        if hit is not None:
-            return hit
         if t == 0:
-            img = self.beta()
-        else:
-            x = self.beta() ** (self.p**t)
-            gpoly = [c % self.mod for c in self.unram]
-            dpoly = [(j * gpoly[j]) % self.mod for j in range(1, len(gpoly))]
-            for _ in range(self.prec.bit_length() + 3):  # each step doubles the p-adic precision
-                gx = _eval_poly(gpoly, x)
-                if gx.is_zero:
-                    break
-                x = x - gx * _eval_poly(dpoly, x).invert()
-            else:
-                raise InsufficientPrecision(f"Newton root for the Frobenius image sigma^{t}(beta) did not converge")
-            img = x
-        self._frob_cache[t] = img
-        return img
-
-    def galois_closure(self, generators):
-        """All (s, t) pairs in the subgroup generated by the given pairs."""
-        mod_s = self.p**self.alpha
-        norm = lambda st: (st[0] % mod_s, st[1] % self.f)
-        seen = {norm((1, 0))}
-        frontier = [norm((1, 0))]
-        gens = [norm(g) for g in generators]
-        for s, _t in gens:
-            if mod_s > 1 and math.gcd(s, self.p) != 1:
-                raise ValueError("s must be prime to p")
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = norm((cur[0] * g[0], cur[1] + g[1]))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-                    if len(seen) > self.degree:
-                        raise ValueError("generators do not define a subgroup of the Galois group")
-        return sorted(seen)
+            return self.beta()
+        x = self.beta() ** (self.p**t)
+        gpoly = [c % self.mod for c in self.unram]
+        dpoly = [(j * gpoly[j]) % self.mod for j in range(1, len(gpoly))]
+        for _ in range(self.prec.bit_length() + 3):  # each step doubles the p-adic precision
+            gx = _eval_poly(gpoly, x)
+            if gx.is_zero:
+                return x
+            x = x - gx * _eval_poly(dpoly, x).invert()
+        raise InsufficientPrecision(f"Newton root for the Frobenius image sigma^{t}(beta) did not converge")
 
 
 def _eval_poly(coeffs, x: "FieldElem") -> "FieldElem":
-    # Horner; coefficients are integers or elements of x's tower
+    # Horner over integer coefficients: the defining polynomial and its derivative
     acc = x.tower.zero()
     for c in reversed(coeffs):
         acc = acc * x + c if c else acc * x
@@ -488,10 +460,6 @@ class FieldElem:
         sign, pv = (-t.p // t.q_coeffs[0]) ** v, t.p**v
         return tuple(sign * (c // pv) % t.p for c in self.grid[i])
 
-    def valuation(self) -> Fraction:
-        """The normalized valuation, v(p) = 1."""
-        return Fraction(self.pi_level(), self.tower.e)
-
     def pi_valuation_at_least(self, n: int) -> bool:
         """True when v(self) >= n/e at the tracked precision (zero counts as yes)."""
         return self.is_zero or self.pi_level() >= n
@@ -549,25 +517,31 @@ class FieldElem:
 
     # -- Galois ------------------------------------------------------------------
 
-    def galois_act(self, s: int, t: int) -> "FieldElem":
-        """Apply zeta -> zeta^s, beta -> sigma^t(beta); a ring homomorphism."""
+    def galois_act(self, t: int) -> "FieldElem":
+        """sigma^t, the t-th power of Frobenius: a ring automorphism that fixes pi
+        and sends beta to sigma^t(beta).  The grid is the ring
+        (Z/p^prec)[beta, pi]/(g, Q_alpha) and sigma^t(beta) lies in row 0, so
+        sigma^t maps each pi-row by one f x f matrix over Z/p^prec, whose column j
+        is row 0 of sigma^t(beta)^j; it is built once per tower and t mod f."""
         tw = self.tower
-        if tw.alpha >= 1:
-            if math.gcd(s, tw.p) != 1:
-                raise ValueError("s must be prime to p")
-            s %= tw.p**tw.alpha
-            pi_img = tw.zeta() ** s - tw.one()
-        else:
-            pi_img = tw.pi()
-        beta_img = tw.frobenius_beta(t)
-        return _eval_poly([_eval_poly(row, beta_img) for row in self.grid], pi_img)
-
-    def norm(self, generators) -> "FieldElem":
-        """Product over the orbit of the subgroup generated by (s, t) pairs."""
-        out = self.tower.one()
-        for s, t in self.tower.galois_closure(generators):
-            out = out * self.galois_act(s, t)
-        return out
+        f, m = tw.f, tw.mod
+        cols = tw._frob_cache.get(t % f)
+        if cols is None:
+            img, power = tw.frobenius_beta(t), tw.one()
+            cols = [power.grid[0]]
+            for _ in range(1, f):
+                power = power * img
+                cols.append(power.grid[0])
+            tw._frob_cache[t % f] = cols
+        out = []
+        for row in self.grid:
+            acc = [0] * f
+            for c, col in zip(row, cols):
+                if c:
+                    for k, a in enumerate(col):
+                        acc[k] += c * a
+            out.append([a % m for a in acc])
+        return FieldElem(tw, out)
 
     def __repr__(self):
         terms = []

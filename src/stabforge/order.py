@@ -8,8 +8,6 @@ folds S^n back to pu, which is central.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit
 from .intarith import check_params, prime_factors
 from .localfield import FieldElem, FieldTower, binary_power
@@ -134,7 +132,7 @@ class OrderElem:
             for j, b in enumerate(other.coeffs):
                 if b.is_zero:
                     continue
-                term = a * b.galois_act(1, i)  # S^i b = b^(sigma^i) S^i
+                term = a * b.galois_act(i)  # S^i b = b^(sigma^i) S^i
                 k = i + j
                 if k >= n:
                     term = term.scale(pu)
@@ -164,12 +162,12 @@ class OrderElem:
                 best = cand
         return best
 
-    def valuation(self) -> Fraction:
+    def s_level(self) -> int:
+        """The S-adic order n * v(self): S has level 1 and p has level n."""
         lead = self._leading()
         if lead is None:
             raise IndeterminateAtPrecision("all tracked digits vanish")
-        total, _i, _v = lead
-        return Fraction(total + self.shift * self.params.n, self.params.n)
+        return lead[0] + self.shift * self.params.n
 
     def invert(self) -> "OrderElem":
         """Two-sided inverse: peel the minimal term, then a geometric series."""
@@ -188,7 +186,7 @@ class OrderElem:
         else:
             # (w S^i)^(-1) = (pu)^(-1) sigma^(n-i)(w^(-1)) S^(n-i)
             coeffs = [t.zero()] * pa.n
-            coeffs[pa.n - i] = w_inv.galois_act(1, pa.n - i) * t.from_int(pa.u.val).invert()
+            coeffs[pa.n - i] = w_inv.galois_act(pa.n - i) * t.from_int(pa.u.val).invert()
             t_inv = OrderElem(pa, -self.shift - vp - 1, tuple(coeffs))
         y = t_inv * self - pa.one()
         acc, term = pa.one(), -y
@@ -226,7 +224,7 @@ def check_verdict(lhs: OrderElem, rhs: OrderElem) -> str:
 
 def order_check(x: OrderElem, d: int) -> bool:
     """x has exact multiplicative order d at working precision."""
-    if x.valuation() != 0:
+    if x.s_level() != 0:
         return False
     verdict = check_verdict(x**d, x.params.one())
     if verdict == "fails":
@@ -276,8 +274,11 @@ def example049_elements(params: OrderParams):
 
 
 def witt_norm(w: FieldElem) -> FieldElem:
-    """Norm over the full unramified Galois group (Frobenius powers)."""
-    return w.norm([(1, 1)])
+    """Norm to Z_p: the product of the Frobenius powers sigma^t(w), t < f."""
+    out = w.tower.one()
+    for t in range(w.tower.f):
+        out = out * w.galois_act(t)
+    return out
 
 
 def solve_norm_equation(tower: FieldTower, target: PadicInt) -> FieldElem:

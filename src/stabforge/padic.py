@@ -210,8 +210,10 @@ def parse_literal(text: str) -> PadicInt:
     p = int(head.strip())
     if not rest.endswith("]"):
         raise ValueError("missing closing ']'")
-    digits = [int(d) for d in rest[:-1].split(",") if d.strip() != ""]
-    return PadicInt.from_digits(digits, p)
+    entries = rest[:-1].split(",")
+    if any(not d.strip() for d in entries):
+        raise ValueError(f"unit literal {text!r} has an empty digit")
+    return PadicInt.from_digits([int(d) for d in entries], p)
 
 
 def format_literal(x: PadicInt) -> str:

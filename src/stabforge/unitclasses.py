@@ -191,7 +191,7 @@ def normalize_unit(u, p: int, prec: int) -> PadicInt:
     """u (an integer, or a PadicInt known to at least prec digits) as a unit mod p^prec."""
     if isinstance(u, PadicInt):
         if u.p != p:
-            raise ValueError("unit has the wrong prime")
+            raise ValueError(f"unit literal '{u}' has prime {u.p}, expected p = {p}")
         if u.prec < prec:
             raise InsufficientPrecision("unit precision too low for the requested test")
         u = u.reduce(prec)

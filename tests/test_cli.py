@@ -7,11 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabforge.classifier import ClassificationInput, maximal_in_Gn
 from stabforge.cli import _parse_field_elem, build_parser, main
 from stabforge.intarith import divisors
-from stabforge.localfield import FieldTower
+from stabforge.localfield import FieldTower, euler_phi_prime_power
 from stabforge.unitclasses import epsilon_test, r1_max
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -75,6 +77,12 @@ REJECTED = [
     ["expand", "--p", "3", "--alpha", "1", "--f", "2", "--pi-prec", "3", "--elem", "pi^2 [1,2]"],
     # without --golden, a module needs its action and order
     ["cohomology", "--order", "2"],
+    # p <= 1: p^alpha and phi(p^alpha) were computed before p was checked (ZeroDivisionError)
+    ["epsilon", "--p", "1", "--alpha", "2"],
+    ["epsilon", "--p", "0", "--alpha", "-1"],
+    ["expand", "--p", "1", "--alpha", "1", "--elem", "pi", "--pi-prec", "3"],
+    # an empty digit of a unit literal was dropped
+    ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", "p:3 [1,,2]"],
 ]
 
 
@@ -106,6 +114,15 @@ def test_bad_input_message_names_the_argument(tmp_path):
         (["verify", "q8.rel", "--u", "p:2 [1,0]"], "unit precision too low for the requested test"),
         (["verify", "q8.rel", "--p", "3", "--n", "2"], "line 3: unknown name 'rho'; defined here: S, omega"),
         (["verify", "q8.rel", "--p-prec", "0"], "p_prec must be >= 1, got 0"),
+        (["epsilon", "--p", "1", "--alpha", "2"], "p must be a prime, got 1"),
+        (
+            ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", "p:3 [1,,2]"],
+            "unit literal 'p:3 [1,,2]' has an empty digit",
+        ),
+        (
+            ["r2", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--r1", "1", "--u", "p:5 [1,0,2]"],
+            "unit literal 'p:5 [1,0,2]' has prime 5, expected p = 3",
+        ),
     ] + [
         (
             ["expand", "--p", "3", "--alpha", "1", "--f", "2", "--pi-prec", "3", "--elem", elem],
@@ -244,3 +261,125 @@ def test_abelian_classes_enumerate_divisors_quickly():
     proc = run_cli(["classify", "--p", "7", "--n", "10", "--abelian"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pairs"] == [[0, d] for d in divisors(7**10 - 1)]
+
+
+
+def _flags(**strategies):
+    """Each flag given as --name=value (so negative values stay values), in order;
+    a None value leaves its flag out."""
+    names = list(strategies)
+    return st.tuples(*strategies.values()).map(
+        lambda values: [f"--{n.replace('_', '-')}={v}" for n, v in zip(names, values) if v is not None]
+    )
+
+
+def _mostly(valid, invalid):
+    """Mostly valid values, so that most examples get past the checks."""
+    return st.integers(0, 5).flatmap(lambda i: invalid if i == 3 else valid)
+
+
+_PRIMES = _mostly(st.sampled_from([2, 3, 5, 7]), st.integers(-1, 9))
+_POSITIVE = _mostly(st.integers(1, 6), st.integers(-1, 0))
+_UNITS = st.none() | _mostly(
+    st.sampled_from(["1", "3", "5", "-1", "p:2 [1,1,0,0,0,0]", "p:3 [2,1,0,0,0,0]", "p:5 [3,0,0,0,0,0]"]),
+    st.sampled_from(["0", "2", "x", "", "p:3 [1,,2]", "p:3 []", "p:3 [1", "p:5 [2]", "p:2 [1]"]),
+)
+_ELEMS = _mostly(
+    st.sampled_from(["pi", "1", "[1,2] * pi^2 + 3", "(1+pi)^3", "-7", "[0,1]^2 - pi"]),
+    st.sampled_from(["pi^-1", "pi * [1,,2]", "", "+", "rho", "2^-1", "pi^2 [1]", "[]"]),
+)
+
+
+@st.composite
+def _tower(draw, max_q):
+    """(p, alpha, f), with p^alpha <= max_q when p and alpha are valid."""
+    p, f = draw(_PRIMES), draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))
+    alpha = draw(_mostly(st.integers(0, 3), st.just(-1)))
+    while p >= 2 and alpha > 0 and p**alpha > max_q:
+        alpha -= 1
+    return p, alpha, f
+
+
+@st.composite
+def _extension(draw, cmd):
+    """r1, r2 or epsilon-test: mostly with n a multiple of e = phi(p^alpha),
+    d | p^(n/e) - 1 and r1 | e when p and alpha are valid."""
+    p, alpha, _ = draw(_tower(9))
+    valid = p in (2, 3, 5, 7) and alpha >= 0 and draw(_mostly(st.just(True), st.just(False)))
+    e = euler_phi_prime_power(p, alpha) if valid else 1
+    n_alpha = draw(st.integers(1, 3))
+    n = e * n_alpha if valid else draw(_POSITIVE)
+    d = draw(st.sampled_from(divisors(p**n_alpha - 1))) if valid else draw(st.integers(-1, 12))
+    argv = [cmd, f"--p={p}", f"--n={n}", f"--alpha={alpha}", f"--d={d}"]
+    if cmd != "r1":
+        argv.append(f"--r1={draw(st.sampled_from(divisors(e))) if valid else draw(st.integers(-1, 6))}")
+    return argv + draw(_flags(u=_UNITS))
+
+
+@st.composite
+def _verify(draw):
+    """A shipped script (or a missing one), mostly at its own p and n."""
+    script, p, n = draw(st.sampled_from([("q8.rel", 2, 2), ("example049.rel", 3, 4), ("missing.rel", 2, 2)]))
+    flags = draw(_mostly(st.just([f"--p={p}", f"--n={n}"]), _flags(p=_PRIMES, n=_POSITIVE)))
+    more = draw(_flags(p_prec=_mostly(st.integers(2, 6), st.integers(-1, 1)), u=_UNITS))
+    return ["verify", str(SCRIPTS / script), *flags, *more]
+
+
+@st.composite
+def _module(draw):
+    """cohomology of a module, mostly with a rank, torsion and action of one shape."""
+    rank, torsion, action = draw(
+        _mostly(
+            st.sampled_from([(1, "", "1"), (1, "", "-1"), (0, "3", "2"), (0, "3,4", "1,0;0,1"), (2, "", "0,1;1,0")]),
+            st.sampled_from([(0, "0", "1"), (-1, "", "1"), (1, "", "1,2"), (0, "x", "1"), (0, "-3", "1"), (1, "2", "1")]),
+        )
+    )
+    argv = ["cohomology", f"--rank={rank}", f"--torsion={torsion}", f"--action={action}"]
+    return argv + draw(_flags(order=st.none() | _POSITIVE))
+
+
+def _tower_cmd(cmd, max_q, **more):
+    return st.tuples(_tower(max_q), _flags(**more)).map(
+        lambda pair: [cmd, f"--p={pair[0][0]}", f"--alpha={pair[0][1]}", f"--f={pair[0][2]}", *pair[1]]
+    )
+
+
+_ARGV = {
+    "classify": st.tuples(
+        _flags(p=_PRIMES, n=_POSITIVE, u_mod=st.integers(-1, 9)),
+        st.sampled_from([[], ["--inner"], ["--abelian"], ["--mode=table"]]),
+    ).map(lambda parts: ["classify", *parts[0], *parts[1]])
+    | _flags(p_max=st.integers(-1, 5), n_max=st.integers(-1, 4)).map(lambda f: ["classify", "--scan", *f])
+    | st.just(["classify"]),
+    "epsilon": _tower_cmd("epsilon", 27, pi_prec=st.none() | st.integers(-1, 12)),
+    "expand": _tower_cmd("expand", 27, elem=_ELEMS, pi_prec=st.none() | st.integers(-1, 12)),
+    "membership": _tower_cmd("membership", 9, k=_POSITIVE, u=_UNITS, elem=st.none() | _ELEMS),
+    "r1": _extension("r1"),
+    "r2": _extension("r2"),
+    "epsilon-test": _extension("epsilon-test"),
+    "verify": _verify(),
+    "cohomology": st.just(["cohomology", "--golden"]) | _module(),
+}
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(st.one_of(*_ARGV.values()))
+@example(["epsilon", "--p", "1", "--alpha", "2"])
+@example(["epsilon", "--p", "0", "--alpha", "-1"])
+@example(["expand", "--p", "1", "--alpha", "1", "--elem", "pi", "--pi-prec", "3"])
+def test_every_input_is_answered_or_refused(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse prints its usage and message
+            assert exc.code == 2, argv
+            return
+    assert rc in (0, 1, 2), argv
+    if rc == 1:  # a false verdict or a failed check, which only these give
+        assert argv[0] in ("membership", "epsilon-test", "verify") or argv == ["cohomology", "--golden"], argv
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", argv

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -39,12 +38,15 @@ def test_snw_not_commutative():
 
 def test_valuations():
     pa = params22()
-    assert pa.s().valuation() == Fraction(1, 2)
-    assert (pa.omega() * pa.s()).valuation() == Fraction(1, 2)
+    # S-adic levels n * v: S has level 1, p = S^2 / u has level 2
+    assert pa.s().s_level() == 1
+    assert (pa.omega() * pa.s()).s_level() == 1
+    assert pa.from_int(2).s_level() == 2
+    assert pa.s().invert().s_level() == -1
     i, j, k = embed_q8(pa)
-    assert (pa.one() + i).valuation() == Fraction(1, 2)
+    assert (pa.one() + i).s_level() == 1
     with pytest.raises(IndeterminateAtPrecision):
-        pa.zero().valuation()
+        pa.zero().s_level()
 
 
 def test_valuation_additive_randomized():
@@ -59,7 +61,7 @@ def test_valuation_additive_randomized():
         x, y = rand_elem(), rand_elem()
         if x.is_zero or y.is_zero:
             continue
-        assert (x * y).valuation() == x.valuation() + y.valuation()
+        assert (x * y).s_level() == x.s_level() + y.s_level()
 
 
 def test_invert():

@@ -261,8 +261,7 @@ def brute_force_root_exists(a, m):
     t = a.tower
     if a.is_zero:
         return True
-    v = a.valuation()
-    units = v.numerator * (t.e // v.denominator)
+    units = a.pi_level()
     if units % m:
         return False
     y = a

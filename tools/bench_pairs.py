@@ -15,8 +15,11 @@ The output file holds, per workload:
               median and quartiles (inclusive method), the relative change of
               the medians (change / base - 1), `worse_by` (that change signed
               so that positive is worse), the metric's bound, whether
-              `worse_by` is within it, and the pairs the change won (strictly
-              better; ties count for neither side);
+              `worse_by` is within it, the pairs the change won (strictly
+              better; ties count for neither side), and `pair_ratio`: each
+              pair's change / base value (pairs whose base is 0 left out)
+              with their median and quartiles, which show a change that
+              the seed-to-seed spread of either side would hide;
   per_layer   each side's traced metrics (<layer>.calls, <layer>.self_s, ...),
               and the layers whose calls differ;
 and the machine (`platform.machine()`, CPU count) and `sys.version`.
@@ -68,8 +71,9 @@ def spread(values):
 
 def compare(base, change, better, bound):
     """One end-to-end metric: each side's spread, the relative change of the
-    medians and the pairs the change won."""
+    medians, the pairs the change won and the spread of the per-pair ratios."""
     b, c = spread(base), spread(change)
+    ratios = [y / x for x, y in zip(base, change) if x]
     rel = c["median"] / b["median"] - 1 if b["median"] else 0.0
     worse_by = rel if better == "lower" else -rel
     sign = 1 if better == "lower" else -1
@@ -83,6 +87,7 @@ def compare(base, change, better, bound):
         "within_bound": worse_by <= bound,
         "wins": wins,
         "pairs": len(base),
+        "pair_ratio": spread(ratios) if ratios else None,
     }
 
 
@@ -181,6 +186,7 @@ def main(argv=None):
             print(
                 f"{w:<16} {name:<16} base {m['base']['median']:>12.6g}  change {m['change']['median']:>12.6g}"
                 f"  {m['rel_change']:+8.1%}  bound {m['bound']:.0%}  wins {m['wins']}/{m['pairs']}"
+                + (f"  pair ratio {m['pair_ratio']['median']:.4f}" if m["pair_ratio"] else "")
             )
     for problem in problems:
         print(f"problem: {problem}", file=sys.stderr)
