@@ -195,16 +195,14 @@ def _general_odd(p: int, n: int, u_mod: int):
         if full:
             w = n
             name = f"(C{f0_order}.{r1}):G"
-            kind = "semidirect"
         else:
             w = (p - 1) * m
             name = f"(C{f0_order}.{r1}):G'"
-            kind = "semidirect"
         classes.append(
             GroupClassLabel(
                 f0_order * r1 * w,
                 name,
-                kind,
+                "semidirect",
                 f"{prov}[alpha={alpha},r1={v1.branch}]",
                 params=(alpha, r1, w),
             )

@@ -2,8 +2,8 @@
 epsilon-test, verify, cohomology.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts or failed
-checks, 2 for usage errors.  JSON output is byte-deterministic for identical
-inputs.
+checks, 2 for usage errors and for checks the precision leaves undecided.
+JSON output is byte-deterministic for identical inputs.
 
 `main(argv)` may be called many times in one process: the argparse parser is
 built on the first call and reused, since parsing keeps no state between calls.
@@ -52,7 +52,12 @@ def _parse_unit(text):
     """An integer --u as an int, a 'p:' literal as a PadicInt at its own
     precision; unitclasses.normalize_unit checks its prime and precision
     against what a test needs."""
-    return parse_literal(text) if text.strip().startswith("p:") else int(text)
+    if text.strip().startswith("p:"):
+        return parse_literal(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--u {text!r} is neither an integer nor a p-adic literal such as 'p:3 [1,0,2]'") from None
 
 
 def _parse_field_elem(tower, text):
@@ -174,7 +179,8 @@ def build_parser():
         "verify",
         help="run a relation script against the order",
         description="Evaluates 'name := expr' and 'check a == b' lines over "
-        f"W_n<S> (remark210/example049 relation suites); exit 0 iff all hold.  Expressions: {_GRAMMAR}.",
+        "W_n<S> (remark210/example049 relation suites); exit 0 iff all hold, 1 if one fails, "
+        f"2 if none fails but one is indeterminate at --p-prec.  Expressions: {_GRAMMAR}.",
     )
     v.add_argument("script", help="path to the .rel file")
     v.add_argument("--p", type=int, default=2)
@@ -311,12 +317,17 @@ def _cmd_verify(args):
         text = fh.read()
     params = OrderParams(args.p, args.n, u=_parse_unit(args.u), p_prec=args.p_prec)
     results = run_script(text, params)
-    ok = True
     for r in results:
         sys.stdout.write(f"line {r.line_no}: {r.verdict}: {r.text}\n")
-        ok = ok and r.verdict == "holds"
-    sys.stdout.write(("all checks hold" if ok else "some checks failed") + f" ({len(results)} checks)\n")
-    return 0 if ok else 1
+    failed = any(r.verdict == "fails" for r in results)
+    undecided = sum(r.verdict == "indeterminate" for r in results)
+    summary = "some checks failed" if failed else "some checks indeterminate" if undecided else "all checks hold"
+    sys.stdout.write(f"{summary} ({len(results)} checks)\n")
+    if undecided and not failed:  # a false verdict needs a failed check; undecided is no verdict
+        raise ValueError(
+            f"{undecided} checks indeterminate at --p-prec {args.p_prec}; a larger --p-prec may decide them"
+        )
+    return 1 if failed else 0
 
 
 def _cmd_cohomology(args):
@@ -330,12 +341,8 @@ def _cmd_cohomology(args):
     torsion = [int(t) for t in args.torsion.split(",") if t.strip()]
     action = [[int(x) for x in row.split(",")] for row in args.action.split(";")]
     m = cohomology.CycModule(args.rank, torsion, action, args.order)
-    out = {
-        "h0": {"free_rank": m.h0().free_rank, "invariants": list(m.h0().invariants)},
-        "h_odd": {"free_rank": m.h_odd().free_rank, "invariants": list(m.h_odd().invariants)},
-        "h_even": {"free_rank": m.h_even().free_rank, "invariants": list(m.h_even().invariants)},
-    }
-    _emit(out, args.mode)
+    groups = {"h0": m.h0(), "h_odd": m.h_odd(), "h_even": m.h_even()}
+    _emit({h: {"free_rank": g.free_rank, "invariants": list(g.invariants)} for h, g in groups.items()}, args.mode)
     return 0
 
 

@@ -83,6 +83,12 @@ REJECTED = [
     ["expand", "--p", "1", "--alpha", "1", "--elem", "pi", "--pi-prec", "3"],
     # an empty digit of a unit literal was dropped
     ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", "p:3 [1,,2]"],
+    # an integer --u that int() cannot read: its message named neither the flag nor the forms
+    ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", "x"],
+    ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", ""],
+    # checks that the precision leaves undecided are no false verdict (exit 1)
+    ["verify", "q8.rel", "--p-prec", "5"],
+    ["verify", "example049.rel", "--p", "3", "--n", "4", "--p-prec", "2"],
 ]
 
 
@@ -122,6 +128,14 @@ def test_bad_input_message_names_the_argument(tmp_path):
         (
             ["r2", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--r1", "1", "--u", "p:5 [1,0,2]"],
             "unit literal 'p:5 [1,0,2]' has prime 5, expected p = 3",
+        ),
+        (
+            ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", "x"],
+            "--u 'x' is neither an integer nor a p-adic literal such as 'p:3 [1,0,2]'",
+        ),
+        (
+            ["verify", "example049.rel", "--p", "3", "--n", "4", "--p-prec", "2"],
+            "2 checks indeterminate at --p-prec 2; a larger --p-prec may decide them",
         ),
     ] + [
         (
@@ -164,6 +178,15 @@ def test_failed_check_exits_1(tmp_path):
     assert proc.stdout == "line 1: fails: check S * omega == omega * S\nsome checks failed (1 checks)\n"
 
 
+def test_indeterminate_checks_exit_2():
+    # a check the precision cannot decide is listed, but the script neither holds nor fails
+    proc = run_cli(["verify", "q8.rel", "--p-prec", "5"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.count(": indeterminate: ") == 1 and ": fails: " not in proc.stdout
+    assert proc.stdout.endswith("line 15: holds: check (1+i)^2 == 2*i\nsome checks indeterminate (13 checks)\n")
+    assert proc.stderr == "error: 1 checks indeterminate at --p-prec 5; a larger --p-prec may decide them\n"
+
+
 def test_main_can_be_called_again_in_one_process(monkeypatch):
     # the parser is built once per process; each call must still answer as a fresh process does
     monkeypatch.chdir(SCRIPTS)
@@ -202,6 +225,13 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
     first, second = (run_cli(argv, PYTHONHASHSEED=seed) for seed in ("1", "77"))
     assert first.returncode == 0, first.stderr
     assert first.stdout and first.stdout == second.stdout
+
+
+def test_cohomology_of_a_large_torsion_order_answers():
+    # 2^101 - 1 has no factor below 10^12: trial division of the invariant factors stalled here
+    proc = run_cli(["cohomology", "--rank", "0", "--torsion", str(2**101 - 1), "--action", "1", "--order", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["h0"] == {"free_rank": 0, "invariants": [2**101 - 1]}
 
 
 def test_table_mode():
@@ -378,6 +408,7 @@ def test_every_input_is_answered_or_refused(argv):
     assert rc in (0, 1, 2), argv
     if rc == 1:  # a false verdict or a failed check, which only these give
         assert argv[0] in ("membership", "epsilon-test", "verify") or argv == ["cohomology", "--golden"], argv
+        assert argv[0] != "verify" or ": fails: " in out.getvalue(), argv
     if rc == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from stabforge.cohomology import (
     CohomologyGroup,
     CycModule,
-    _canonical_invariants,
+    divisor_chain,
     golden_suite,
     kernel_columns,
     smith_invariants,
@@ -14,10 +16,9 @@ from stabforge.errors import BadAction
 
 
 def test_smith_invariants_basics():
-    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6] or smith_invariants([[2, 0], [0, 3]]) == [6, 1]
-    inv = smith_invariants([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    # classical example with factors 2, 2, 156 up to normal form
-    assert sorted(_canonical_invariants(inv)) == [2, 2, 156]
+    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
+    # the classical example with invariant factors 2, 2, 156
+    assert smith_invariants([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
     assert smith_invariants([[0, 0], [0, 0]]) == []
 
 
@@ -46,6 +47,30 @@ def _det(a):
     return out
 
 
+def _minor_gcd(a, i):
+    """gcd of all i x i minors of a."""
+    g = 0
+    for rows in itertools.combinations(range(len(a)), i):
+        for cols in itertools.combinations(range(len(a[0])), i):
+            g = math.gcd(g, _det([[a[r][c] for c in cols] for r in rows]))
+    return g
+
+
+def test_smith_matches_determinantal_divisors():
+    # d_1 ... d_i is the gcd of the i x i minors, and there are rank-many factors
+    rng = random.Random(22)
+    for _ in range(300):
+        m, k = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(k)] for _ in range(m)]
+        inv = smith_invariants(a)
+        rank = max((i for i in range(1, min(m, k) + 1) if _minor_gcd(a, i)), default=0)
+        assert len(inv) == rank, a
+        prod = 1
+        for i, d in enumerate(inv, 1):
+            prod *= d
+            assert prod == _minor_gcd(a, i), a
+
+
 def test_kernel_columns():
     ker = kernel_columns([[1, 2, 3]])
     assert len(ker) == 2
@@ -54,11 +79,12 @@ def test_kernel_columns():
     assert kernel_columns([[1, 0], [0, 1]]) == []
 
 
-def test_canonical_invariants():
-    assert _canonical_invariants([2, 3]) == (6,)
-    assert _canonical_invariants([4, 6]) == (2, 12)
-    assert _canonical_invariants([2, 2, 156]) == (2, 2, 156)
-    assert _canonical_invariants([1, 1]) == ()
+def test_divisor_chain():
+    assert divisor_chain([2, 3]) == [1, 6]
+    assert divisor_chain([4, 6]) == [2, 12]
+    assert divisor_chain([2, 2, 156]) == [2, 2, 156]
+    assert divisor_chain([1, 1]) == [1, 1]
+    assert divisor_chain([12, 8, 3]) == [1, 12, 24]
 
 
 def test_spec_example_215():
@@ -72,12 +98,11 @@ def test_spec_example_215():
 
 def test_spec_example_trivial_action():
     # trivial action of C_r on Z/m gives H^even = Z/gcd(r, m)
-    import math
-
     for r, mm in [(4, 6), (3, 9), (5, 7)]:
         m = CycModule(0, (mm,), [[1]], r)
-        assert m.h_even() == CohomologyGroup(0, _canonical_invariants([math.gcd(r, mm)]))
-        assert m.h_odd() == CohomologyGroup(0, _canonical_invariants([math.gcd(r, mm)]))
+        g = math.gcd(r, mm)
+        assert m.h_even() == CohomologyGroup(0, (g,) if g > 1 else ())
+        assert m.h_odd() == CohomologyGroup(0, (g,) if g > 1 else ())
 
 
 def test_spec_example_241_matrix():
@@ -146,5 +171,6 @@ def test_periodicity_consistency():
     # shifted complex: swapping the roles of the maps swaps odd and even
     p, n = 3, 2
     m = CycModule(1, (p**n - 1,), [[1, 0], [0, p]], n)
-    swapped = m._subquotient(m._kernel_subgroup(m._one_minus_t()), m._image_subgroup(m._norm()))
+    swapped = m._subquotient(m._kernel_subgroup(m._one_minus_t()), m._image_subgroup(m.norm))
     assert swapped == m.h_even()
+
