@@ -3,14 +3,20 @@ extended form, as total decision procedures over (p, n, u).
 
 The inner-group classes come from the metacyclic/quaternionic classification;
 the extended classes iterate maximal abelian F_0 over the tower levels and
-apply the extendability branches, consuming r1/r2 verdicts from unitclasses.
-Every emitted label carries its theorem provenance and a multiplicity.
+apply the extendability branches, consuming r1 verdicts from unitclasses.
+Each class shape has one constructor: `_extension` builds the
+(C_{p^alpha d}.r1):W rows of Thm 250 and Thm 259, `_t24` the T24 product rows
+of Thm 032 and Thm 260.  At n = 2 the answer is the published table of
+Thm 261 (p = 3) or Thm 264 (p = 2); each entry takes the provenance of the
+engine class of the same order, and a call whose engine orders differ from the
+table's raises.  Every emitted label carries its theorem provenance and a
+multiplicity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import NotApplicable
 from .intarith import check_params, divisors, split_p
@@ -22,7 +28,6 @@ from .unitclasses import r1_max
 class GroupClassLabel:
     order: int
     name: str
-    kind: str  # cyclic | metacyclic | product | semidirect | Q8 | D8 | Q16 | SD16 | T24 | O48
     provenance: str = field(compare=False)
     count: int = field(default=1, compare=False)
     params: tuple = field(default=(), compare=False)
@@ -89,50 +94,27 @@ def maximal_in_Sn(p: int, n: int) -> ClassificationReport:
     notes = []
     k, m = _split_n(p, n)
     if p > 2:
-        if k == 0:
+        classes.append(GroupClassLabel(p**n - 1, f"C{p**n - 1}", "thm024[G0]" if k else "prop022"))
+        for alpha in range(1, k + 1):
+            quot = (p ** _n_alpha(p, n, alpha) - 1) * (p - 1)
             classes.append(
-                GroupClassLabel(p**n - 1, f"C{p**n - 1}", "cyclic", "prop022")
-            )
-        else:
-            classes.append(GroupClassLabel(p**n - 1, f"C{p**n - 1}", "cyclic", "thm024[G0]"))
-            for alpha in range(1, k + 1):
-                na = _n_alpha(p, n, alpha)
-                quot = (p**na - 1) * (p - 1)
-                classes.append(
-                    GroupClassLabel(
-                        p**alpha * quot,
-                        f"C{p**alpha}:C{quot}",
-                        "metacyclic",
-                        f"thm024[G{alpha}]",
-                        params=(p**alpha, quot),
-                    )
+                GroupClassLabel(
+                    p**alpha * quot, f"C{p**alpha}:C{quot}", f"thm024[G{alpha}]", params=(p**alpha, quot)
                 )
+            )
     else:
         for alpha in range(1, k + 1):
-            na = _n_alpha(2, n, alpha)
             if alpha == 2 and k == 2:
-                label = GroupClassLabel(
-                    24 * (2**m - 1),
-                    f"T24xC{2**m - 1}" if m > 1 else "T24",
-                    "product",
-                    "thm032+thm165",
-                    params=(24, 2**m - 1),
-                )
                 if m == 1:
                     # C_6 = G_1 embeds in T_24; conjugacy classes are ordered by
                     # containment, so the cyclic class is not maximal here
-                    label = GroupClassLabel(
-                        label.order, label.name, label.kind,
-                        label.provenance + "+cor173-dedup[G1=C6<T24]", params=label.params,
-                    )
                     classes = [c for c in classes if c.name != "C6"]
                     notes.append("k=2, m=1: G_1 = C_6 embeds in T_24 and is dropped (Cor 173)")
-                classes.append(label)
+                classes.append(_t24(m, "thm032+thm165" + ("+cor173-dedup[G1=C6<T24]" if m == 1 else "")))
             else:
-                order = 2**alpha * (2**na - 1)
-                classes.append(
-                    GroupClassLabel(order, f"C{order}", "cyclic", f"thm032[G{alpha}]" if k > 1 else "prop022")
-                )
+                order = 2**alpha * (2 ** _n_alpha(2, n, alpha) - 1)
+                prov = f"thm032[G{alpha}]" if k > 1 else "prop022"
+                classes.append(GroupClassLabel(order, f"C{order}", prov))
     return ClassificationReport({"p": p, "n": n}, classes, notes=notes)
 
 
@@ -145,11 +127,7 @@ def abelian_classes(p: int, n: int) -> ClassificationReport:
     for alpha in range(0, k + 1):
         for d in divisors(p ** _n_alpha(p, n, alpha) - 1):
             pairs.append((alpha, d))
-            classes.append(
-                GroupClassLabel(
-                    p**alpha * d, f"C{p**alpha * d}", "cyclic", f"cor212[alpha={alpha},d={d}]"
-                )
-            )
+            classes.append(GroupClassLabel(p**alpha * d, f"C{p**alpha * d}", f"cor212[alpha={alpha},d={d}]"))
     return ClassificationReport({"p": p, "n": n}, classes, pairs=pairs)
 
 
@@ -177,110 +155,75 @@ def quaternionic_extension(p: int, n: int, u_mod: int) -> dict:
     }
 
 
+def _extension(p: int, n: int, alpha: int, u_mod: int, w: int, branch: str, primed: bool, **extra):
+    """The (C_{p^alpha d}.r1):W row at d = p^n_alpha - 1, r1 the largest
+    admissible first index and w the order of the Galois part W (G, or G' when
+    primed)."""
+    d = p ** _n_alpha(p, n, alpha) - 1
+    v1 = r1_max(p, n, alpha, d, u_mod)
+    f0_order = p**alpha * d
+    return GroupClassLabel(
+        f0_order * v1.maximal * w,
+        f"(C{f0_order}.{v1.maximal}):G" + "'" * primed,
+        f"{branch}[alpha={alpha},r1={v1.branch}]",
+        params=(alpha, v1.maximal, w),
+        **extra,
+    )
+
+
+def _t24(m: int, provenance: str):
+    """The binary tetrahedral product class T24 x C_(2^m - 1)."""
+    return GroupClassLabel(
+        24 * (2**m - 1), f"T24xC{2**m - 1}" if m > 1 else "T24", provenance, params=(24, 2**m - 1)
+    )
+
+
 def _general_odd(p: int, n: int, u_mod: int):
-    classes = []
     k, m = _split_n(p, n)
+    classes = []
     for alpha in range(0, k + 1):
-        na = _n_alpha(p, n, alpha)
-        d = p**na - 1
-        v1 = r1_max(p, n, alpha, d, u_mod)
-        r1 = v1.maximal
-        f0_order = p**alpha * d
         if alpha <= 1:
-            full, prov = True, "thm250.2"
+            classes.append(_extension(p, n, alpha, u_mod, n, "thm250.2", False))
         elif alpha == k and _u_generates_mod_p2(p, u_mod):
-            full, prov = True, "thm250.3"
+            classes.append(_extension(p, n, alpha, u_mod, n, "thm250.3", False))
         else:
-            full, prov = False, "thm250.1"
-        if full:
-            w = n
-            name = f"(C{f0_order}.{r1}):G"
-        else:
-            w = (p - 1) * m
-            name = f"(C{f0_order}.{r1}):G'"
-        classes.append(
-            GroupClassLabel(
-                f0_order * r1 * w,
-                name,
-                "semidirect",
-                f"{prov}[alpha={alpha},r1={v1.branch}]",
-                params=(alpha, r1, w),
-            )
-        )
+            classes.append(_extension(p, n, alpha, u_mod, (p - 1) * m, "thm250.1", True))
     return classes
 
 
 def _general_two(n: int, u_mod: int):
     classes = []
     k, m = _split_n(2, n)
-    u_mod %= 8
     for alpha in range(1, k + 1):
-        na = _n_alpha(2, n, alpha)
-        d = 2**na - 1
-        v1 = r1_max(2, n, alpha, d, u_mod)
-        r1 = v1.maximal
-        f0_order = 2**alpha * d
         if alpha == 1:
+            f0_order = 2 * (2**n - 1)
+            v1 = r1_max(2, n, 1, 2**n - 1, u_mod)
             count = 1 if n % 2 else 2
             note = "" if count == 1 else "2-Sylow C2xC{2^(k-1)} vs C{2^k} (two classes)"
             classes.append(
                 GroupClassLabel(
                     f0_order * n,
                     f"C{f0_order}:G",
-                    "semidirect",
                     f"thm259.2[alpha=1,r1={v1.branch}]",
                     count=count,
-                    params=(alpha, r1, n),
+                    params=(alpha, v1.maximal, n),
                     note=note,
                 )
             )
         elif alpha == 2 and k == 2:
             if u_mod in (1, 7):
                 q = quaternionic_extension(2, n, u_mod)
-                classes.append(
-                    GroupClassLabel(
-                        q["order"],
-                        f"(T24xC{2**m - 1}):C{n}" if m > 1 else "T24:C2",
-                        "semidirect",
-                        "thm260",
-                        params=(alpha,),
-                    )
-                )
+                name = f"(T24xC{2**m - 1}):C{n}" if m > 1 else "T24:C2"
+                classes.append(GroupClassLabel(q["order"], name, "thm260", params=(alpha,)))
             else:
-                w = 2 * m  # the full Galois group of Q_2(F_0)
-                classes.append(
-                    GroupClassLabel(
-                        f0_order * r1 * w,
-                        f"(C{f0_order}.{r1}):G",
-                        "semidirect",
-                        f"thm259.3[alpha=2,r1={v1.branch}]",
-                        count=2,
-                        params=(alpha, r1, w),
-                        note="one of the two classes is contained in the T24 product class (Remark 265)",
-                    )
-                )
-                classes.append(
-                    GroupClassLabel(
-                        24 * (2**m - 1),
-                        f"T24xC{2**m - 1}" if m > 1 else "T24",
-                        "product",
-                        "thm260-nonextendable",
-                        params=(24, 2**m - 1),
-                    )
-                )
+                # w = 2m: the full Galois group of Q_2(F_0)
+                note = "one of the two classes is contained in the T24 product class (Remark 265)"
+                classes.append(_extension(2, n, alpha, u_mod, 2 * m, "thm259.3", False, count=2, note=note))
+                classes.append(_t24(m, "thm260-nonextendable"))
         else:
             # alpha = 2 with k > 2 has no G-extension (Thm 259.3), alpha >= 3
             # never does (Thm 259.4); the odd part always extends (Thm 259.1)
-            w = m
-            classes.append(
-                GroupClassLabel(
-                    f0_order * r1 * w,
-                    f"(C{f0_order}.{r1}):G'",
-                    "semidirect",
-                    f"thm259.1[alpha={alpha},r1={v1.branch}]",
-                    params=(alpha, r1, w),
-                )
-            )
+            classes.append(_extension(2, n, alpha, u_mod, m, "thm259.1", True))
     return classes
 
 
@@ -288,58 +231,35 @@ def _general_two(n: int, u_mod: int):
 
 
 def _table_261(u_mod3: int):
-    sd16 = GroupClassLabel(16, "SD16", "SD16", "thm261")
+    sd16 = GroupClassLabel(16, "SD16", "thm261")
     if u_mod3 % 3 == 1:
-        return [sd16, GroupClassLabel(24, "C3:Q8", "semidirect", "thm261[u=1 mod 3]")]
-    return [sd16, GroupClassLabel(24, "C3:D8", "semidirect", "thm261[u=-1 mod 3]")]
+        return [sd16, GroupClassLabel(24, "C3:Q8", "thm261[u=1 mod 3]")]
+    return [sd16, GroupClassLabel(24, "C3:D8", "thm261[u=-1 mod 3]")]
 
 
 def _table_264(u_mod8: int):
-    c3c4 = GroupClassLabel(12, "C3:C4", "metacyclic", "thm264")
-    c6c2 = GroupClassLabel(12, "C6:C2", "metacyclic", "thm264")
-    t24 = GroupClassLabel(24, "T24", "T24", "thm264")
+    c3c4 = GroupClassLabel(12, "C3:C4", "thm264")
+    c6c2 = GroupClassLabel(12, "C6:C2", "thm264")
+    t24 = GroupClassLabel(24, "T24", "thm264")
     tables = {
-        1: [c6c2, GroupClassLabel(48, "O48", "O48", "thm264[u=1 mod 8]")],
-        7: [c3c4, GroupClassLabel(48, "T24:C2", "semidirect", "thm264[u=-1 mod 8]")],
-        3: [c3c4, c6c2, GroupClassLabel(8, "D8", "D8", "thm264[u=3 mod 8]"), t24],
-        5: [c3c4, c6c2, GroupClassLabel(8, "Q8", "Q8", "thm264[u=-3 mod 8]"), t24],
+        1: [c6c2, GroupClassLabel(48, "O48", "thm264[u=1 mod 8]")],
+        7: [c3c4, GroupClassLabel(48, "T24:C2", "thm264[u=-1 mod 8]")],
+        3: [c3c4, c6c2, GroupClassLabel(8, "D8", "thm264[u=3 mod 8]"), t24],
+        5: [c3c4, c6c2, GroupClassLabel(8, "Q8", "thm264[u=-3 mod 8]"), t24],
     }
     return tables[u_mod8 % 8]
 
 
 def _refine_n2(p: int, u_mod: int, classes):
-    """Rename the general-engine output at n = 2 into the isomorphism types of
-    the published tables (the structures depend on u through x_1^2)."""
-    if p == 3:
-        out = []
-        for c in classes:
-            if c.params and c.params[0] == 0:
-                out.append(GroupClassLabel(16, "SD16", "SD16", c.provenance))
-            else:
-                name = "C3:Q8" if u_mod % 3 == 1 else "C3:D8"
-                out.append(GroupClassLabel(24, name, "semidirect", c.provenance))
-        return out
-    out = []
-    u8 = u_mod % 8
-    for c in classes:
-        if c.params and c.params[0] == 1:
-            # the count-2 pair splits into the two published order-12 classes,
-            # pruned by their containments in the alpha = 2 classes
-            if u8 == 1:
-                out.append(GroupClassLabel(12, "C6:C2", "metacyclic", c.provenance))
-            elif u8 == 7:
-                out.append(GroupClassLabel(12, "C3:C4", "metacyclic", c.provenance))
-            else:
-                out.append(GroupClassLabel(12, "C3:C4", "metacyclic", c.provenance))
-                out.append(GroupClassLabel(12, "C6:C2", "metacyclic", c.provenance))
-        elif c.name == "T24:C2" and u8 == 1:
-            out.append(GroupClassLabel(48, "O48", "O48", c.provenance))
-        elif c.kind == "semidirect" and c.count == 2 and c.order == 8:
-            name = "D8" if u8 == 3 else "Q8"
-            out.append(GroupClassLabel(8, name, name, c.provenance))
-        else:
-            out.append(c)
-    return out
+    """The published n = 2 table (the structures depend on u through x_1^2),
+    each entry with the provenance of the general-engine class of its order;
+    the engine's orders must be the table's."""
+    provenance = {c.order: c.provenance for c in classes}
+    table = hardcoded_n2_table(p, u_mod)
+    if set(provenance) != {c.order for c in table}:
+        orders = sorted(provenance)
+        raise AssertionError(f"engine orders {orders} differ from the n = 2 table at p = {p}, u = {u_mod}")
+    return [replace(c, provenance=provenance[c.order]) for c in table]
 
 
 def maximal_in_Gn(inp: ClassificationInput) -> ClassificationReport:
@@ -348,10 +268,7 @@ def maximal_in_Gn(inp: ClassificationInput) -> ClassificationReport:
     if p > 2 and n % (p - 1):
         # no p-torsion: the single unramified tower class
         classes = [
-            GroupClassLabel(
-                (p**n - 1) * n, f"C{p**n - 1}:C{n}", "metacyclic", "thm250.2[alpha=0]",
-                params=(0, 1, n),
-            )
+            GroupClassLabel((p**n - 1) * n, f"C{p**n - 1}:C{n}", "thm250.2[alpha=0]", params=(0, 1, n))
         ]
         return ClassificationReport({"p": p, "n": n, "u_mod": inp.u_mod}, classes)
     classes = _general_odd(p, n, inp.u_mod) if p > 2 else _general_two(n, inp.u_mod)

@@ -313,6 +313,8 @@ def _cmd_epsilon_test(args):
 
 
 def _cmd_verify(args):
+    if args.p_prec < 1:
+        raise ValueError(f"--p-prec must be >= 1, got {args.p_prec}")
     with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
     params = OrderParams(args.p, args.n, u=_parse_unit(args.u), p_prec=args.p_prec)
@@ -330,6 +332,17 @@ def _cmd_verify(args):
     return 1 if failed else 0
 
 
+_LIST_FORMS = {"--torsion": "comma-separated integers such as '2,4'", "--action": "rows 'a,b;c,d' of integers"}
+
+
+def _list_entry(flag, text, entry):
+    """One integer of a --torsion or --action list."""
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: {entry!r} is not an integer; expected {_LIST_FORMS[flag]}") from None
+
+
 def _cmd_cohomology(args):
     if args.golden:
         report = cohomology.golden_suite()
@@ -338,8 +351,8 @@ def _cmd_cohomology(args):
         return 0 if all(r["ok"] for r in out) else 1
     if args.action is None or args.order is None:
         raise ValueError("cohomology needs --action and --order (or --golden)")
-    torsion = [int(t) for t in args.torsion.split(",") if t.strip()]
-    action = [[int(x) for x in row.split(",")] for row in args.action.split(";")]
+    torsion = [_list_entry("--torsion", args.torsion, t) for t in args.torsion.split(",") if t.strip()]
+    action = [[_list_entry("--action", args.action, x) for x in row.split(",")] for row in args.action.split(";")]
     m = cohomology.CycModule(args.rank, torsion, action, args.order)
     groups = {"h0": m.h0(), "h_odd": m.h_odd(), "h_even": m.h_even()}
     _emit({h: {"free_rank": g.free_rank, "invariants": list(g.invariants)} for h, g in groups.items()}, args.mode)

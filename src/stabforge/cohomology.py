@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import BadAction
 from .intarith import multiplicative_order, split_p
+from .localfield import binary_power
 
 
 # -- integer matrices (lists of rows) --------------------------------------------
@@ -170,19 +171,28 @@ class CycModule:
         return True
 
     def _validate(self):
-        """Check the action; returns the norm N = T^0 + ... + T^(r-1), summed on
-        the walk to T^r."""
+        """Check the action; returns the norm N = T^0 + ... + T^(r-1).
+
+        The pairs (N_s, T^s), N_s = T^0 + ... + T^(s-1), multiply as
+        (N_s, T^s)(N_t, T^t) = (N_s + T^s N_t, T^(s+t)), so square-and-multiply
+        reaches (N_r, T^r); each torsion row is reduced mod its order."""
         # torsion generators must stay torsion of compatible order
         for j, dj in enumerate(self.d):
             col = [dj * self.t[i][self.a + j] for i in range(self.rank)]
             if not self._in_lattice(col):
                 raise BadAction(f"column {self.a + j} breaks the relation of order {dj}")
         k = self.rank
-        norm = [[0] * k for _ in range(k)]
-        power = mat_identity(k)
-        for _ in range(self.r):
-            norm = [[x + y for x, y in zip(nr, pr)] for nr, pr in zip(norm, power)]
-            power = mat_mul(self.t, power)
+
+        def reduce(mat):
+            return mat[: self.a] + [[x % dj for x in row] for dj, row in zip(self.d, mat[self.a :])]
+
+        def combine(x, y):
+            (n_s, t_s), (n_t, t_t) = x, y
+            n_st = [[a + b for a, b in zip(r, q)] for r, q in zip(n_s, mat_mul(t_s, n_t))]
+            return reduce(n_st), reduce(mat_mul(t_s, t_t))
+
+        one = ([[0] * k for _ in range(k)], mat_identity(k))
+        norm, power = binary_power((mat_identity(k), self.t), self.r, one, combine)
         for j in range(k):
             col = [power[i][j] - (1 if i == j else 0) for i in range(k)]
             if not self._in_lattice(col):
@@ -271,10 +281,10 @@ def golden_instances():
         m = CycModule(1, (p**n - 1,), [[1, 0], [0, p]], n)
         out.append((f"L215[p={p},n={n}]", m, (1, _cyc(p - 1)), (0, ()), (0, _cyc(n))))
     for p, n, alpha in [(3, 2, 1), (5, 4, 1), (3, 6, 2)]:
-        n_alpha = n // ((p - 1) * p ** (alpha - 1))
-        big = p**n_alpha - 1
+        phi = (p - 1) * p ** (alpha - 1)
+        big = p ** (n // phi) - 1
         w = big // (p - 1)
-        c = next(g for g in range(2, p**alpha) if g % p and multiplicative_order(g, p**alpha) == p - 1)
+        c = next(g for g in range(2, p**alpha) if g % p and multiplicative_order(g, p**alpha, phi) == p - 1)
         act = [[1, 0, 0], [0, c, 0], [w, 0, 1]]
         m = CycModule(1, (p**alpha, big), act, p - 1)
         out.append((f"L221[p={p},n={n},a={alpha}]", m, (1, _cyc(big)), (0, ()), (0, _cyc(p - 1))))

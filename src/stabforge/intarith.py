@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 def factorize(n: int):
     """[(prime, exponent), ...] for n >= 1, primes ascending."""
@@ -33,17 +31,15 @@ def divisors(n: int):
     return tuple(sorted(out))
 
 
-def multiplicative_order(a: int, m: int) -> int:
-    """The order of a in (Z/m)^x."""
-    if m == 1:
-        return 1
-    if math.gcd(a, m) != 1:
-        raise ValueError("order undefined")
-    order = 1
-    for q, j in factorize(m):
-        order *= (q - 1) * q ** (j - 1)
-    for q in prime_factors(order):
-        while order % q == 0 and pow(a, order // q, m) == 1:
+def multiplicative_order(a: int, m: int, multiple: int) -> int:
+    """The least t dividing multiple with a^t = 1 mod m (t = 1 for m = 1), which
+    is the order of a in (Z/m)^x when that order divides multiple; only
+    multiple is factored.  ValueError when no divisor of multiple works."""
+    if pow(a, multiple, m) != 1 % m:
+        raise ValueError(f"no t dividing {multiple} has {a}^t = 1 mod {m}")
+    order = multiple
+    for q in prime_factors(multiple):
+        while order % q == 0 and pow(a, order // q, m) == 1 % m:
             order //= q
     return order
 

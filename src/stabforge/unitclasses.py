@@ -220,7 +220,7 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
     if euler_phi_prime_power(p, alpha) % r1:
         raise ValueError("r1 must divide phi(p^alpha)")
     j, r_prime = split_p(r1, p)
-    f = multiplicative_order(p, d)
+    f = multiplicative_order(p, d, n_alpha)
     # u mod p^(j+2) fixes the class: every element of 1 + p^(j+2) Z_p is a p^j-th power
     u = normalize_unit(u, p, max(3, j + 2))
     q1 = p**f - 1
@@ -286,12 +286,11 @@ def r2_admissible(p: int, n: int, alpha: int, d: int, u, r1: int) -> R2Verdict:
     algebra, via the greatest allowed divisor of n/[Q_p(F_0):Q_p]."""
     check_params(p, alpha, n=n, d=d, r1=r1)
     normalize_unit(u, p, 1)
-    f = multiplicative_order(p, d)
-    deg = euler_phi_prime_power(p, alpha) * f
-    if n % deg:
-        raise ValueError("[Q_p(F_0):Q_p] must divide n")
-    quota = n // deg
     e0 = euler_phi_prime_power(p, alpha)
+    # [Q_p(F_0):Q_p] = e0 ord_d(p), so ord_d(p) must divide n / e0
+    if n % e0 or pow(p, n // e0, d) != 1 % d:
+        raise ValueError("[Q_p(F_0):Q_p] must divide n")
+    quota = n // (e0 * multiplicative_order(p, d, n // e0))
     cap = p - 1 if p > 2 else 2
     bound = math.gcd(e0, cap)
     if bound % r1:

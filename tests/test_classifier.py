@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
+from stabforge import classifier
 from stabforge.classifier import (
     ClassificationInput,
-    GroupClassLabel,
     abelian_classes,
     hardcoded_n2_table,
     maximal_in_Gn,
@@ -84,19 +86,43 @@ def test_theorem_264_all_residues():
         assert names(rep) == sorted(want), (u, names(rep))
 
 
+def _units(p):
+    return [u for u in range(1, 8 if p == 2 else p * p) if math.gcd(u, p) == 1]
+
+
 def test_general_engine_matches_hardcoded_tables():
-    for u in range(1, 9):
-        if u % 3 == 0:
-            continue
-        rep = maximal_in_Gn(ClassificationInput(3, 2, u))
-        table = hardcoded_n2_table(3, u)
-        assert sorted(c.name for c in rep.classes) == sorted(c.name for c in table)
-        assert sorted(c.order for c in rep.classes) == sorted(c.order for c in table)
-    for u in (1, 3, 5, 7):
-        rep = maximal_in_Gn(ClassificationInput(2, 2, u))
-        table = hardcoded_n2_table(2, u)
-        assert sorted(c.name for c in rep.classes) == sorted(c.name for c in table)
-        assert sorted(c.order for c in rep.classes) == sorted(c.order for c in table)
+    # the n = 2 answer is the published table, each entry with the provenance
+    # of the general-engine class of its order
+    for p in (2, 3):
+        for u in _units(p):
+            engine = classifier._general_two(2, u) if p == 2 else classifier._general_odd(p, 2, u)
+            provenance = {c.order: c.provenance for c in engine}
+            rep = maximal_in_Gn(ClassificationInput(p, 2, u))
+            table = hardcoded_n2_table(p, u)
+            assert sorted(c.name for c in rep.classes) == sorted(c.name for c in table)
+            assert sorted(c.order for c in rep.classes) == sorted(c.order for c in table)
+            assert [c.provenance for c in rep.classes] == [provenance[c.order] for c in rep.classes]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_n2_engine_is_checked_against_the_tables(monkeypatch, p):
+    # an engine that loses a class no longer matches the published table's orders
+    name = "_general_two" if p == 2 else "_general_odd"
+    engine = getattr(classifier, name)
+    monkeypatch.setattr(classifier, name, lambda *args: engine(*args)[1:])
+    for u in _units(p):
+        with pytest.raises(AssertionError, match="n = 2 table"):
+            maximal_in_Gn(ClassificationInput(p, 2, u))
+
+
+def test_no_two_classes_share_order_and_name():
+    # labels sort by (order, name) alone, so no report may hold two classes with both equal
+    for p in (2, 3, 5, 7):
+        for n in range(1, 13):
+            reports = [maximal_in_Sn(p, n)] + [maximal_in_Gn(ClassificationInput(p, n, u)) for u in _units(p)]
+            for rep in reports:
+                keys = [(c.order, c.name) for c in rep.classes]
+                assert len(keys) == len(set(keys)), (p, n, rep.input)
 
 
 def test_quaternionic_extension():

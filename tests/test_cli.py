@@ -86,6 +86,10 @@ REJECTED = [
     # an integer --u that int() cannot read: its message named neither the flag nor the forms
     ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", "x"],
     ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", ""],
+    # a --torsion or --action entry that int() cannot read: its message named neither the flag nor the form
+    ["cohomology", "--torsion", "x", "--action", "1", "--order", "2"],
+    ["cohomology", "--rank", "1", "--action", "1;x", "--order", "2"],
+    ["cohomology", "--rank", "1", "--action", "", "--order", "2"],
     # checks that the precision leaves undecided are no false verdict (exit 1)
     ["verify", "q8.rel", "--p-prec", "5"],
     ["verify", "example049.rel", "--p", "3", "--n", "4", "--p-prec", "2"],
@@ -119,7 +123,7 @@ def test_bad_input_message_names_the_argument(tmp_path):
         (["verify", "q8.rel", "--n", "0"], "n must be >= 1, got 0"),
         (["verify", "q8.rel", "--u", "p:2 [1,0]"], "unit precision too low for the requested test"),
         (["verify", "q8.rel", "--p", "3", "--n", "2"], "line 3: unknown name 'rho'; defined here: S, omega"),
-        (["verify", "q8.rel", "--p-prec", "0"], "p_prec must be >= 1, got 0"),
+        (["verify", "q8.rel", "--p-prec", "0"], "--p-prec must be >= 1, got 0"),
         (["epsilon", "--p", "1", "--alpha", "2"], "p must be a prime, got 1"),
         (
             ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", "p:3 [1,,2]"],
@@ -132,6 +136,18 @@ def test_bad_input_message_names_the_argument(tmp_path):
         (
             ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", "x"],
             "--u 'x' is neither an integer nor a p-adic literal such as 'p:3 [1,0,2]'",
+        ),
+        (
+            ["cohomology", "--torsion", "x", "--action", "1", "--order", "2"],
+            "--torsion 'x': 'x' is not an integer; expected comma-separated integers such as '2,4'",
+        ),
+        (
+            ["cohomology", "--rank", "1", "--action", "1;x", "--order", "2"],
+            "--action '1;x': 'x' is not an integer; expected rows 'a,b;c,d' of integers",
+        ),
+        (
+            ["cohomology", "--rank", "1", "--action", "", "--order", "2"],
+            "--action '': '' is not an integer; expected rows 'a,b;c,d' of integers",
         ),
         (
             ["verify", "example049.rel", "--p", "3", "--n", "4", "--p-prec", "2"],
@@ -232,6 +248,28 @@ def test_cohomology_of_a_large_torsion_order_answers():
     proc = run_cli(["cohomology", "--rank", "0", "--torsion", str(2**101 - 1), "--action", "1", "--order", "1"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["h0"] == {"free_rank": 0, "invariants": [2**101 - 1]}
+
+
+def test_cohomology_of_a_large_action_order_answers():
+    # T^r and the norm were reached by r matrix products
+    proc = run_cli(["cohomology", "--rank", "1", "--action", "1", "--order", "100000000"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["h_even"] == {"free_rank": 0, "invariants": [100000000]}
+    # 2 has order 3 mod 7, and 3 divides the order: no fixed points in any degree
+    proc = run_cli(["cohomology", "--torsion", "7", "--action", "2", "--order", "300000000"])
+    assert proc.returncode == 0, proc.stderr
+    assert all(g == {"free_rank": 0, "invariants": []} for g in json.loads(proc.stdout).values())
+
+
+def test_field_degree_of_a_large_d_answers():
+    # d = 2^101 - 1 has no factor below 10^12: ord_d(2) = 101 was found by factoring d
+    d = str(2**101 - 1)
+    proc = run_cli(["r2", "--p", "2", "--n", "202", "--alpha", "0", "--d", d, "--r1", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["admissible"] == [1, 2]
+    proc = run_cli(["epsilon-test", "--p", "2", "--n", "202", "--alpha", "1", "--d", d, "--r1", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["trivial"] is True
 
 
 def test_table_mode():

@@ -31,16 +31,22 @@ def test_split_p_matches_definition():
 
 
 def test_multiplicative_order_matches_definition():
+    # the least t dividing the given multiple with a^t = 1 mod m, and ValueError
+    # when the order does not divide the multiple (or does not exist)
     for a in (2, 3, 5, 7):
         for m in range(1, N + 1):
             if math.gcd(a, m) != 1:
                 with pytest.raises(ValueError):
-                    multiplicative_order(a, m)
+                    multiplicative_order(a, m, math.factorial(12))
                 continue
             o, x = 1, a % m
             while x != 1 % m:
                 x, o = x * a % m, o + 1
-            assert multiplicative_order(a, m) == o
+            for k in (1, 2, 6, 35):
+                assert multiplicative_order(a, m, o * k) == o
+            if o > 1:
+                with pytest.raises(ValueError):
+                    multiplicative_order(a, m, o + 1)
 
 
 def test_bad_arguments_rejected():
