@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadAction
-from .intarith import multiplicative_order, split_p
+from .intarith import multiplicative_order, prime_factors, split_p
 from .localfield import binary_power
 
 
@@ -39,6 +39,20 @@ def mat_mul(a, b):
 
 def mat_identity(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+def finite_order_exponent(a: int) -> int:
+    """L(a) = lcm{m : phi(m) <= a}.  An a x a integer matrix of finite order has
+    a minimal polynomial that is a product of distinct Phi_m with phi(m) <= a,
+    so its order divides L(a); phi(m) >= sqrt(m / 2) bounds the search by 2a^2."""
+    out = 1
+    for m in range(1, 2 * a * a + 1):
+        phi = m
+        for q in prime_factors(m):
+            phi = phi // q * (q - 1)
+        if phi <= a:
+            out = math.lcm(out, m)
+    return out
 
 
 def column_echelon_with_transform(a):
@@ -181,7 +195,13 @@ class CycModule:
             col = [dj * self.t[i][self.a + j] for i in range(self.rank)]
             if not self._in_lattice(col):
                 raise BadAction(f"column {self.a + j} breaks the relation of order {dj}")
-        k = self.rank
+        # T^r is the identity on the free block A exactly when A^g = I for
+        # g = gcd(r, L(a)); checked first, an A of infinite order is refused
+        # before T is powered, and afterwards the free rows stay bounded
+        a, k = self.a, self.rank
+        free = [row[:a] for row in self.t[:a]]
+        if binary_power(free, math.gcd(self.r, finite_order_exponent(a)), mat_identity(a), mat_mul) != mat_identity(a):
+            raise BadAction("T^r is not the identity on the module")
 
         def reduce(mat):
             return mat[: self.a] + [[x % dj for x in row] for dj, row in zip(self.d, mat[self.a :])]

@@ -6,6 +6,13 @@ polynomial Q_alpha and beta generates the unramified part.  Coefficients are
 integers mod p^prec shared across the grid; pi-adic digit sequences are a view
 computed on demand.
 
+A product is one big-integer product (Kronecker substitution): each grid is
+packed into one int, c_ij in a fixed-width slot, wide enough that the slots
+of the product are its unreduced coefficients.  A per-tower table
+(FieldTower._mul_plan, built on the first multiply) then folds every slot
+beta^j pi^i with j >= f or i >= e into the rest, as that slot's value times
+the monomial reduced mod (g, Q_alpha), itself packed.
+
 The order of an element x is its integer pi-level (FieldElem.pi_level): the
 largest i with x in pi^i O, so a unit 1 + x lies in U_i = 1 + pi^i O and not
 in U_(i+1).  p has pi-level e, so pi-level is e times the valuation normalized
@@ -213,6 +220,36 @@ class FieldTower:
     def pi_prec(self) -> int:
         return self.e * self.prec
 
+    @cached_property
+    def _mul_plan(self):
+        """The table FieldElem.__mul__ folds with, built on the first multiply.
+
+        A grid packs into one int: c_ij in slot i (2f-1) + j, each slot nb bytes
+        (little-endian), so a row is its f slots and then pad.  The product of
+        two packed grids, size bytes long, holds in its slots the unreduced
+        coefficients of beta^j pi^i, j < 2f-1 and i < 2e-1; nb bytes hold
+        (2e-1)(2f-1)(m-1)^2 + m, which bounds every product slot and every slot
+        of the folded sum, so no carry crosses a slot.  low is the byte offset of
+        each row i < e, whose first f slots are read as they are; high pairs the
+        offset of every other slot with that monomial mod (g, Q_alpha), packed
+        with stride f (pairs whose monomial vanishes mod p^prec are left out);
+        cells lists, per row of the result, the byte offsets of its f slots in
+        the folded sum.
+        """
+        e, f, m = self.e, self.f, self.mod
+        nb = (((2 * e - 1) * (2 * f - 1) * (m - 1) ** 2 + m).bit_length() + 7) // 8
+        betas, pis = _powers_mod(self.unram, 2 * f - 1, m), _powers_mod(self.q_coeffs, 2 * e - 1, m)
+        stride = (2 * f - 1) * nb
+        high = []
+        for i, a in enumerate(pis):
+            for j, b in enumerate(betas):
+                if i >= e or j >= f:
+                    red = int.from_bytes(b"".join([(x * y % m).to_bytes(nb, "little") for x in a for y in b]), "little")
+                    if red:
+                        high.append((i * stride + j * nb, red))
+        cells = [list(range(i * f * nb, (i + 1) * f * nb, nb)) for i in range(e)]
+        return nb, bytes((f - 1) * nb), (2 * e - 1) * stride, [i * stride for i in range(e)], high, cells
+
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "FieldElem":
@@ -302,6 +339,17 @@ class FieldTower:
         raise InsufficientPrecision(f"Newton root for the Frobenius image sigma^{t}(beta) did not converge")
 
 
+def _powers_mod(monic, count: int, m: int):
+    """X^k mod the monic polynomial (lowest coefficient first), for k < count,
+    each as its coefficients mod m: shift by X, subtract the top times monic."""
+    cur, out = [1] + [0] * (len(monic) - 2), []
+    for _ in range(count):
+        out.append(cur)
+        top = cur[-1]
+        cur = [(c - top * a) % m for c, a in zip([0] + cur[:-1], monic)]
+    return out
+
+
 def _eval_poly(coeffs, x: "FieldElem") -> "FieldElem":
     # Horner over integer coefficients: the defining polynomial and its derivative
     acc = x.tower.zero()
@@ -376,47 +424,31 @@ class FieldElem:
         return FieldElem(self.tower, [[(c * x) % m for x in row] for row in self.grid])
 
     def __mul__(self, other):
+        """The product: one big-integer product of the packed grids, then one
+        fold of its slots by the tower's table (FieldTower._mul_plan).  Slots
+        beta^j pi^i with j < f and i < e are read as they are; every other slot
+        c adds c times that monomial reduced mod (g, Q_alpha).  g and Q_alpha
+        are monic, so beta^j pi^i (j < f, i < e) is the one basis of
+        (Z/p^prec)[beta, pi]/(g, Q_alpha) and the result is that ring's product."""
         if isinstance(other, int):
             return self.scale(other)
         other = self._coerce(other)
         t = self.tower
-        e, f, m = t.e, t.f, t.mod
-        width = 2 * f - 1
-        acc = [[0] * width for _ in range(2 * e - 1)]
-        for i1, r1 in enumerate(self.grid):
-            if all(c == 0 for c in r1):
-                continue
-            for i2, r2 in enumerate(other.grid):
-                if all(c == 0 for c in r2):
-                    continue
-                row = acc[i1 + i2]
-                for j1, c1 in enumerate(r1):
-                    if c1:
-                        for j2, c2 in enumerate(r2):
-                            if c2:
-                                row[j1 + j2] += c1 * c2
-        # reduce beta-degree by the monic unramified polynomial
-        g = t.unram
-        for row in acc:
-            for j in range(width - 1, f - 1, -1):
-                c = row[j] % m
-                if c:
-                    row[j] = 0
-                    for k in range(f):
-                        row[j - f + k] -= c * g[k]
-        # fold pi-degree >= e via the monic Q_alpha
-        q = t.q_coeffs
-        for i in range(2 * e - 2, e - 1, -1):
-            row = acc[i]
-            if any(c % m for c in row):
-                for k in range(e):
-                    a = q[k]
-                    if a:
-                        dst = acc[i - e + k]
-                        for j in range(f):
-                            dst[j] -= a * row[j]
-            acc[i] = None
-        return FieldElem(t, [[c % m for c in acc[i][:f]] for i in range(e)])
+        nb, pad, size, low, high, cells = t._mul_plan
+        m, row = t.mod, t.f * nb
+
+        def pack(grid):
+            return int.from_bytes(pad.join([b"".join([c.to_bytes(nb, "little") for c in r]) for r in grid]), "little")
+
+        x = pack(self.grid)
+        prod = (x * x if other is self else x * pack(other.grid)).to_bytes(size, "little")
+        acc = int.from_bytes(b"".join([prod[o : o + row] for o in low]), "little")
+        for o, red in high:
+            c = int.from_bytes(prod[o : o + nb], "little") % m
+            if c:
+                acc += c * red
+        out = acc.to_bytes(t.e * row, "little")
+        return FieldElem(t, [[int.from_bytes(out[k : k + nb], "little") % m for k in r] for r in cells])
 
     __rmul__ = __mul__
 

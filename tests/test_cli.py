@@ -261,6 +261,21 @@ def test_cohomology_of_a_large_action_order_answers():
     assert all(g == {"free_rank": 0, "invariants": []} for g in json.loads(proc.stdout).values())
 
 
+def test_cohomology_of_an_infinite_order_free_action_is_refused_before_powering():
+    # T = 2 on Z has infinite order: T^r was powered out to 2^r before the refusal
+    proc = run_cli(["cohomology", "--rank", "1", "--action", "2", "--order", "1000000000000"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: T^r is not the identity on the module\n"
+    proc = run_cli(["cohomology", "--rank", "1", "--action", "-1", "--order", "1000000000000"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["h_odd"] == {"free_rank": 0, "invariants": [2]}
+    # [[0, -1], [1, 1]] has order 6: the identity at r = 6 * 10^11, not at r = 10^12
+    proc = run_cli(["cohomology", "--rank", "2", "--action", "0,-1;1,1", "--order", "600000000000"])
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli(["cohomology", "--rank", "2", "--action", "0,-1;1,1", "--order", "1000000000000"])
+    assert proc.returncode == 2 and "T^r is not the identity" in proc.stderr
+
+
 def test_field_degree_of_a_large_d_answers():
     # d = 2^101 - 1 has no factor below 10^12: ord_d(2) = 101 was found by factoring d
     d = str(2**101 - 1)

@@ -8,8 +8,11 @@ from stabforge.cohomology import (
     CohomologyGroup,
     CycModule,
     divisor_chain,
+    finite_order_exponent,
     golden_suite,
     kernel_columns,
+    mat_identity,
+    mat_mul,
     smith_invariants,
 )
 from stabforge.errors import BadAction
@@ -116,6 +119,20 @@ def test_bad_action_rejected():
         CycModule(1, (4,), [[1, 0], [0, 2]], 2)  # 2 has order > 2 mod 4... and breaks T^r
     with pytest.raises(BadAction):
         CycModule(1, (3,), [[1, 1], [0, 1]], 3)  # torsion cannot map to the free part
+
+
+def test_finite_order_exponent():
+    # the orders of finite-order elements of GL_a(Z): +-1, then 3, 4, 6 at a = 2, then 5, 8, 10 at a = 4
+    assert [finite_order_exponent(a) for a in range(6)] == [1, 2, 12, 12, 120, 120]
+    # a 2 x 2 matrix with small entries that reaches I by power 24 gets there at a divisor of 12
+    for entries in itertools.product(range(-2, 3), repeat=4):
+        t = [list(entries[:2]), list(entries[2:])]
+        power = t
+        for k in range(1, 25):
+            if power == mat_identity(2):
+                assert 12 % k == 0, (t, k)
+                break
+            power = mat_mul(power, t)
 
 
 def test_golden_suite_all_match():

@@ -75,6 +75,70 @@ def test_defining_relation_holds():
         assert acc.is_zero
 
 
+def reference_mul(x, y):
+    """The schoolbook product: multiply the grids out, reduce beta-degree >= f by
+    the monic unramified polynomial, then fold pi-degree >= e by the monic Q_alpha."""
+    t = x.tower
+    e, f, m = t.e, t.f, t.mod
+    width = 2 * f - 1
+    acc = [[0] * width for _ in range(2 * e - 1)]
+    for i1, r1 in enumerate(x.grid):
+        for i2, r2 in enumerate(y.grid):
+            row = acc[i1 + i2]
+            for j1, c1 in enumerate(r1):
+                for j2, c2 in enumerate(r2):
+                    row[j1 + j2] += c1 * c2
+    g = t.unram
+    for row in acc:
+        for j in range(width - 1, f - 1, -1):
+            c = row[j] % m
+            row[j] = 0
+            for k in range(f):
+                row[j - f + k] -= c * g[k]
+    q = t.q_coeffs
+    for i in range(2 * e - 2, e - 1, -1):
+        for k in range(e):
+            dst = acc[i - e + k]
+            for j in range(f):
+                dst[j] -= q[k] * acc[i][j]
+    return FieldElem(t, [[c % m for c in acc[i][:f]] for i in range(e)])
+
+
+def mul_towers():
+    for p in (2, 3, 5, 7):
+        for alpha in range(5 if p == 2 else 3):
+            for f in range(1, 7):
+                if euler_phi_prime_power(p, alpha) * f <= 64:
+                    for prec in (1, 2, 5):
+                        yield p, f, alpha, prec
+    yield 2, 1, 7, 8  # e = 64
+    yield 2, 12, 0, 10  # f = 12
+
+
+def test_mul_matches_schoolbook_reference():
+    rng = random.Random(24)
+    for p, f, alpha, prec in mul_towers():
+        t = FieldTower(p, f, alpha, prec)
+        m = t.mod
+
+        def grid(draw):
+            return t.from_grid([[draw() for _ in range(f)] for _ in range(t.e)])
+
+        ops = [
+            grid(lambda: rng.randrange(m)),
+            grid(lambda: rng.randrange(m)),
+            grid(lambda: rng.randrange(m) if rng.random() < 0.1 else 0),
+            grid(lambda: m - 1),  # every product slot at its bound
+            t.zero(),
+            t.one(),
+            t.pi(),
+            t.beta(),
+        ]
+        for x in ops:
+            for y in ops:
+                assert (x * y).grid == reference_mul(x, y).grid, (p, f, alpha, prec, x, y)
+
+
 def test_epsilon_identity_grid():
     # p * epsilon_alpha = pi^phi(p^alpha), computed through the power chain
     cases = [(2, a) for a in range(1, 5)] + [(3, a) for a in range(1, 5)] + [(5, a) for a in range(1, 5)]
