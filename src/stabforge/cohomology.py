@@ -15,30 +15,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadAction
-from .intarith import multiplicative_order, prime_factors, split_p
+from .intarith import mat_identity, mat_mul, multiplicative_order, prime_factors, split_p
 from .localfield import binary_power
 
 
 # -- integer matrices (lists of rows) --------------------------------------------
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for t in range(inner):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += c * bt[j]
-    return out
-
-
-def mat_identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def finite_order_exponent(a: int) -> int:

@@ -1,4 +1,5 @@
-"""Integer helpers: trial-division factorisation and what is built on it."""
+"""Integer helpers: trial-division factorisation and what is built on it, and
+integer matrices as lists of rows."""
 
 from __future__ import annotations
 
@@ -67,3 +68,23 @@ def split_p(n: int, p: int):
         n //= p
         j += 1
     return j, n
+
+
+def mat_mul(a, b):
+    """The product of integer matrices given as lists of rows."""
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        for t in range(inner):
+            c = ai[t]
+            if c:
+                bt = b[t]
+                oi = out[i]
+                for j in range(cols):
+                    oi[j] += c * bt[j]
+    return out
+
+
+def mat_identity(k):
+    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]

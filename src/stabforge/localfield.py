@@ -1,13 +1,15 @@
 """Arithmetic in the towers Q_p c W_f c Q_p(zeta_{p^alpha}, zeta_{p^f-1}).
 
-Elements are polynomial grids: sums c_{ij} beta^j pi^i with pi-degree < e and
-beta-degree < f, where pi = zeta_{p^alpha} - 1 is a root of the cyclotomic
-polynomial Q_alpha and beta generates the unramified part.  Coefficients are
-integers mod p^prec shared across the grid; pi-adic digit sequences are a view
-computed on demand.
+Elements are sums c_{ij} beta^j pi^i with pi-degree i < e and beta-degree
+j < f, where pi = zeta_{p^alpha} - 1 is a root of the cyclotomic polynomial
+Q_alpha and beta generates the unramified part.  An element stores one flat
+list of the e f coefficients, integers mod p^prec, row-major: c_ij at index
+i f + j, so row i (its pi^i part) is the slice [i f, (i + 1) f).  The nested
+form, e rows of f, is a read-only view (FieldElem.grid) built on demand, as
+are pi-adic digit sequences.
 
-A product is one big-integer product (Kronecker substitution): each grid is
-packed into one int, c_ij in a fixed-width slot, wide enough that the slots
+A product is one big-integer product (Kronecker substitution): each element
+is packed into one int, c_ij in a fixed-width slot, wide enough that the slots
 of the product are its unreduced coefficients.  A per-tower table
 (FieldTower._mul_plan, built on the first multiply) then folds every slot
 beta^j pi^i with j >= f or i >= e into the rest, as that slot's value times
@@ -36,7 +38,7 @@ import operator
 from functools import cached_property, lru_cache
 
 from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit
-from .intarith import check_params, prime_factors, split_p
+from .intarith import check_params, mat_mul, prime_factors, split_p
 
 
 def euler_phi_prime_power(p: int, alpha: int) -> int:
@@ -44,17 +46,21 @@ def euler_phi_prime_power(p: int, alpha: int) -> int:
 
 
 def binary_power(x, k: int, one, mul=operator.mul):
-    """x^k by square-and-multiply from one, with multiply mul; x is inverted
-    first when k < 0."""
+    """x^k by square-and-multiply with multiply mul, starting from the lowest
+    factor of x that k takes, so one is never multiplied: x^0 is one and x^1 is
+    x, and x^k costs bit_length(k) - 1 squarings and popcount(k) - 1 products.
+    x is inverted first when k < 0."""
     if k < 0:
         x, k = x.invert(), -k
-    out = one
-    while k:
+    if not k:
+        return one
+    while not k & 1:
+        x, k = mul(x, x), k >> 1
+    out = x
+    while k := k >> 1:
+        x = mul(x, x)
         if k & 1:
             out = mul(out, x)
-        k >>= 1
-        if k:
-            x = mul(x, x)
     return out
 
 
@@ -224,17 +230,18 @@ class FieldTower:
     def _mul_plan(self):
         """The table FieldElem.__mul__ folds with, built on the first multiply.
 
-        A grid packs into one int: c_ij in slot i (2f-1) + j, each slot nb bytes
-        (little-endian), so a row is its f slots and then pad.  The product of
-        two packed grids, size bytes long, holds in its slots the unreduced
-        coefficients of beta^j pi^i, j < 2f-1 and i < 2e-1; nb bytes hold
+        An element packs into one int: c_ij in slot i (2f-1) + j, each slot nb
+        bytes (little-endian), so a row is its f slots (the flat list's slice
+        [i f, (i + 1) f)) and then pad.  The product of two packed elements,
+        size bytes long, holds in its slots the unreduced coefficients of
+        beta^j pi^i, j < 2f-1 and i < 2e-1; nb bytes hold
         (2e-1)(2f-1)(m-1)^2 + m, which bounds every product slot and every slot
         of the folded sum, so no carry crosses a slot.  low is the byte offset of
         each row i < e, whose first f slots are read as they are; high pairs the
         offset of every other slot with that monomial mod (g, Q_alpha), packed
-        with stride f (pairs whose monomial vanishes mod p^prec are left out);
-        cells lists, per row of the result, the byte offsets of its f slots in
-        the folded sum.
+        with stride f, the flat layout (pairs whose monomial vanishes mod
+        p^prec are left out).  The folded sum is thus the flat list in slots
+        of nb bytes, and cells is the byte offset of each.
         """
         e, f, m = self.e, self.f, self.mod
         nb = (((2 * e - 1) * (2 * f - 1) * (m - 1) ** 2 + m).bit_length() + 7) // 8
@@ -247,53 +254,45 @@ class FieldTower:
                     red = int.from_bytes(b"".join([(x * y % m).to_bytes(nb, "little") for x in a for y in b]), "little")
                     if red:
                         high.append((i * stride + j * nb, red))
-        cells = [list(range(i * f * nb, (i + 1) * f * nb, nb)) for i in range(e)]
+        cells = range(0, e * f * nb, nb)
         return nb, bytes((f - 1) * nb), (2 * e - 1) * stride, [i * stride for i in range(e)], high, cells
 
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, [[0] * self.f for _ in range(self.e)])
+        return FieldElem(self, [0] * (self.e * self.f))
 
     def one(self) -> "FieldElem":
         return self.from_int(1)
 
     def from_int(self, z: int) -> "FieldElem":
-        g = [[0] * self.f for _ in range(self.e)]
-        g[0][0] = z % self.mod
-        return FieldElem(self, g)
+        return self.from_beta_coeffs([z])
 
     def from_grid(self, grid) -> "FieldElem":
-        g = [[int(grid[i][j]) % self.mod for j in range(self.f)] for i in range(self.e)]
-        return FieldElem(self, g)
+        """The element with coefficients grid[i][j] (e rows of f), the nested form."""
+        return FieldElem(self, [int(grid[i][j]) % self.mod for i in range(self.e) for j in range(self.f)])
 
     def from_beta_coeffs(self, coeffs) -> "FieldElem":
         """sum c_j beta^j, an element of the unramified part W_f."""
         if len(coeffs) > self.f:
             raise ValueError("coefficient list longer than the residue degree")
-        g = [[0] * self.f for _ in range(self.e)]
-        g[0][: len(coeffs)] = [c % self.mod for c in coeffs]
-        return FieldElem(self, g)
+        flat = [c % self.mod for c in coeffs]
+        return FieldElem(self, flat + [0] * (self.e * self.f - len(flat)))
 
     def pi(self) -> "FieldElem":
-        if self.e == 1:
-            # pi is the root -q_0 of the linear Q: p at alpha = 0, -2 at p = 2, alpha = 1
-            return self.from_int(-self.q_coeffs[0])
-        g = [[0] * self.f for _ in range(self.e)]
-        g[1][0] = 1
-        return FieldElem(self, g)
+        """pi = X mod Q_alpha, in column 0 of the rows; for the linear Q (e = 1)
+        that is the root -q_0: p at alpha = 0, -2 at p = 2, alpha = 1."""
+        flat = [0] * (self.e * self.f)
+        flat[:: self.f] = _powers_mod(self.q_coeffs, 2, self.mod)[1]
+        return FieldElem(self, flat)
 
     def zeta(self) -> "FieldElem":
         """zeta_{p^alpha} = 1 + pi."""
         return self.one() + self.pi()
 
     def beta(self) -> "FieldElem":
-        g = [[0] * self.f for _ in range(self.e)]
-        if self.f == 1:
-            g[0][0] = (-self.unram[0]) % self.mod
-        else:
-            g[0][1] = 1
-        return FieldElem(self, g)
+        """beta = X mod g; for f = 1 that is the root -g_0."""
+        return self.from_beta_coeffs(_powers_mod(self.unram, 2, self.mod)[1])
 
     def omega(self) -> "FieldElem":
         """Teichmueller generator of the residue field torsion (order p^f - 1)."""
@@ -309,9 +308,7 @@ class FieldTower:
         hit = self._teich_cache.get(residue)
         if hit is not None:
             return hit
-        g = [[0] * self.f for _ in range(self.e)]
-        g[0] = [d % self.mod for d in residue]
-        x = FieldElem(self, g)
+        x = self.from_beta_coeffs(residue)
         q = self.p**self.f
         for _ in range(self.prec + 2):  # each step fixes one more p-adic digit
             y = x**q
@@ -361,29 +358,35 @@ def _eval_poly(coeffs, x: "FieldElem") -> "FieldElem":
 class FieldElem:
     """An element sum_{i<e} (sum_{j<f} c_ij beta^j) pi^i, coefficients mod p^prec."""
 
-    __slots__ = ("tower", "grid")
+    __slots__ = ("tower", "coeffs")
 
-    def __init__(self, tower: FieldTower, grid):
+    def __init__(self, tower: FieldTower, coeffs):
         self.tower = tower
-        self.grid = grid  # list of e rows, each a list of f ints in [0, mod)
+        self.coeffs = coeffs  # e f ints in [0, mod), c_ij at index i f + j
+
+    @property
+    def grid(self):
+        """The coefficients as e rows of f (row i is the pi^i part), a fresh copy."""
+        f = self.tower.f
+        return [self.coeffs[k : k + f] for k in range(0, len(self.coeffs), f)]
 
     # -- basics ---------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.tower is other.tower and self.grid == other.grid
+        return self.tower is other.tower and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.tower), tuple(tuple(r) for r in self.grid)))
+        return hash((id(self.tower), tuple(self.coeffs)))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.grid for c in row)
+        return not any(self.coeffs)
 
     def residue_vector(self):
         """The image in the residue field, as f digits in [0, p)."""
-        return tuple(c % self.tower.p for c in self.grid[0])
+        return tuple(c % self.tower.p for c in self.coeffs[: self.tower.f])
 
     @property
     def is_unit(self) -> bool:
@@ -391,15 +394,12 @@ class FieldElem:
 
     def __neg__(self):
         m = self.tower.mod
-        return FieldElem(self.tower, [[(-c) % m for c in row] for row in self.grid])
+        return FieldElem(self.tower, [(-c) % m for c in self.coeffs])
 
     def __add__(self, other):
         other = self._coerce(other)
         m = self.tower.mod
-        return FieldElem(
-            self.tower,
-            [[(a + b) % m for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)],
-        )
+        return FieldElem(self.tower, [(a + b) % m for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
@@ -421,10 +421,10 @@ class FieldElem:
     def scale(self, c: int) -> "FieldElem":
         m = self.tower.mod
         c %= m
-        return FieldElem(self.tower, [[(c * x) % m for x in row] for row in self.grid])
+        return FieldElem(self.tower, [(c * x) % m for x in self.coeffs])
 
     def __mul__(self, other):
-        """The product: one big-integer product of the packed grids, then one
+        """The product: one big-integer product of the packed elements, then one
         fold of its slots by the tower's table (FieldTower._mul_plan).  Slots
         beta^j pi^i with j < f and i < e are read as they are; every other slot
         c adds c times that monomial reduced mod (g, Q_alpha).  g and Q_alpha
@@ -437,18 +437,19 @@ class FieldElem:
         nb, pad, size, low, high, cells = t._mul_plan
         m, row = t.mod, t.f * nb
 
-        def pack(grid):
-            return int.from_bytes(pad.join([b"".join([c.to_bytes(nb, "little") for c in r]) for r in grid]), "little")
+        def pack(coeffs):
+            slots = b"".join([c.to_bytes(nb, "little") for c in coeffs])
+            return int.from_bytes(pad.join([slots[k : k + row] for k in range(0, len(slots), row)]), "little")
 
-        x = pack(self.grid)
-        prod = (x * x if other is self else x * pack(other.grid)).to_bytes(size, "little")
+        x = pack(self.coeffs)
+        prod = (x * x if other is self else x * pack(other.coeffs)).to_bytes(size, "little")
         acc = int.from_bytes(b"".join([prod[o : o + row] for o in low]), "little")
         for o, red in high:
             c = int.from_bytes(prod[o : o + nb], "little") % m
             if c:
                 acc += c * red
-        out = acc.to_bytes(t.e * row, "little")
-        return FieldElem(t, [[int.from_bytes(out[k : k + nb], "little") % m for k in r] for r in cells])
+        out = acc.to_bytes(len(cells) * nb, "little")
+        return FieldElem(t, [int.from_bytes(out[k : k + nb], "little") % m for k in cells])
 
     __rmul__ = __mul__
 
@@ -460,8 +461,7 @@ class FieldElem:
         t = self.tower
         if not self.is_unit:
             raise NonUnit("only units are invertible in the ring")
-        y = t.zero()
-        y.grid[0] = list(t.residue.pow(self.residue_vector(), t.residue.q - 2))
+        y = t.from_beta_coeffs(t.residue.pow(self.residue_vector(), t.residue.q - 2))
         for _ in range(t.prec.bit_length() + t.e.bit_length() + 3):  # each step doubles the pi-adic precision
             err = t.one() - self * y
             if err.is_zero:
@@ -472,25 +472,28 @@ class FieldElem:
     # -- valuation and digits ---------------------------------------------------
 
     def pi_level(self) -> int:
-        """The pi-adic order e * v(self): min over nonzero grid terms of i + e v_p(c)."""
+        """The pi-adic order e * v(self): min over nonzero terms c_ij of i + e v_p(c).
+        As i < e, that is e v for the least v_p, v, plus the first row holding a
+        coefficient of v_p exactly v."""
         t = self.tower
-        row_gcds = (math.gcd(*row) for row in self.grid)  # v_p of a row's gcd is its minimum
-        levels = [i + t.e * split_p(g, t.p)[0] for i, g in enumerate(row_gcds) if g]
-        if not levels:
+        g = math.gcd(*self.coeffs)  # its v_p is the least one
+        if not g:
             raise IndeterminateAtPrecision("all tracked digits vanish")
-        return min(levels)
+        v = split_p(g, t.p)[0]
+        top = t.p ** (v + 1)
+        return t.e * v + next(k for k, c in enumerate(self.coeffs) if c % top) // t.f
 
     def leading_residue(self, level: int):
         """The residue vector of self / pi^level, for level <= pi_level().
 
-        Only grid row level % e reaches it.  With v = level // e, that row's
+        Only row level % e reaches it.  With v = level // e, that row's
         coefficients are divisible by p^v, and p = (-p/q_0) * pi^e * w with
         w = 1 mod pi and q_0 = q_coeffs[0] (p when alpha >= 1, -p when alpha = 0).
         """
         t = self.tower
         v, i = divmod(level, t.e)
         sign, pv = (-t.p // t.q_coeffs[0]) ** v, t.p**v
-        return tuple(sign * (c // pv) % t.p for c in self.grid[i])
+        return tuple(sign * (c // pv) % t.p for c in self.coeffs[i * t.f : (i + 1) * t.f])
 
     def pi_valuation_at_least(self, n: int) -> bool:
         """True when v(self) >= n/e at the tracked precision (zero counts as yes)."""
@@ -507,20 +510,13 @@ class FieldElem:
         stays inside the ring; consumes guard precision via one exact division by p.
         """
         t = self.tower
-        row0 = self.grid[0]
-        if any(c % t.p for c in row0):
+        f, m, q = t.f, t.mod, t.q_coeffs
+        if any(c % t.p for c in self.coeffs[:f]):
             raise NonUnit("element is not divisible by pi")
-        q = t.q_coeffs
-        d0 = [c // -q[0] for c in row0]
-        e, f, m = t.e, t.f, t.mod
-        out = [[0] * f for _ in range(e)]
-        for i in range(e - 1):
-            a = q[i + 1]
-            for j in range(f):
-                out[i][j] = (self.grid[i + 1][j] + a * d0[j]) % m
-        for j in range(f):
-            out[e - 1][j] = d0[j] % m
-        return FieldElem(t, out)
+        d0 = [c // -q[0] for c in self.coeffs[:f]]
+        # row i of the quotient is row i + 1 plus q_(i+1) d0: the top row is d0, Q being monic
+        above = self.coeffs[f:] + [0] * f
+        return FieldElem(t, [(c + q[k // f + 1] * d0[k % f]) % m for k, c in enumerate(above)])
 
     def pi_digit_expansion(self, n_pi: int):
         """Teichmueller digit vectors lambda_0..lambda_{n_pi-1} with
@@ -551,7 +547,7 @@ class FieldElem:
 
     def galois_act(self, t: int) -> "FieldElem":
         """sigma^t, the t-th power of Frobenius: a ring automorphism that fixes pi
-        and sends beta to sigma^t(beta).  The grid is the ring
+        and sends beta to sigma^t(beta).  The elements are the ring
         (Z/p^prec)[beta, pi]/(g, Q_alpha) and sigma^t(beta) lies in row 0, so
         sigma^t maps each pi-row by one f x f matrix over Z/p^prec, whose column j
         is row 0 of sigma^t(beta)^j; it is built once per tower and t mod f."""
@@ -560,27 +556,16 @@ class FieldElem:
         cols = tw._frob_cache.get(t % f)
         if cols is None:
             img, power = tw.frobenius_beta(t), tw.one()
-            cols = [power.grid[0]]
+            cols = [power.coeffs[:f]]
             for _ in range(1, f):
                 power = power * img
-                cols.append(power.grid[0])
+                cols.append(power.coeffs[:f])
             tw._frob_cache[t % f] = cols
-        out = []
-        for row in self.grid:
-            acc = [0] * f
-            for c, col in zip(row, cols):
-                if c:
-                    for k, a in enumerate(col):
-                        acc[k] += c * a
-            out.append([a % m for a in acc])
-        return FieldElem(tw, out)
+        return FieldElem(tw, [a % m for row in mat_mul(self.grid, cols) for a in row])
 
     def __repr__(self):
-        terms = []
-        for i, row in enumerate(self.grid):
-            for j, c in enumerate(row):
-                if c:
-                    terms.append(f"{c}*b^{j}*pi^{i}")
+        f = self.tower.f
+        terms = [f"{c}*b^{k % f}*pi^{k // f}" for k, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
 
 
@@ -589,9 +574,6 @@ def epsilon_alpha(tower: FieldTower) -> FieldElem:
     Q_alpha: epsilon = -1 - sum_{0<i<e} (a_i/p) pi^i (exact integer divisions)."""
     if tower.alpha < 1:
         raise ValueError("epsilon_alpha needs alpha >= 1")
-    g = [[0] * tower.f for _ in range(tower.e)]
-    g[0][0] = -1 % tower.mod
-    q = tower.q_coeffs
-    for i in range(1, tower.e):
-        g[i][0] = (-(q[i] // tower.p)) % tower.mod
-    return FieldElem(tower, g)
+    flat = [0] * (tower.e * tower.f)
+    flat[:: tower.f] = [-1 % tower.mod] + [(-(a // tower.p)) % tower.mod for a in tower.q_coeffs[1 : tower.e]]
+    return FieldElem(tower, flat)

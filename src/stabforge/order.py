@@ -289,7 +289,7 @@ def solve_norm_equation(tower: FieldTower, target: PadicInt) -> FieldElem:
     p, prec = tower.p, tower.prec
     c = tower.teichmuller(tower.residue.solve_norm(target.val))
     for k in range(1, prec):
-        cur = witt_norm(c).grid[0][0]
+        cur = witt_norm(c).coeffs[0]
         diff = (target.val - cur) % p**prec
         if diff % p**k != 0:
             raise AssertionError("lift invariant broken")

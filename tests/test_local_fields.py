@@ -6,6 +6,7 @@ from stabforge.errors import IndeterminateAtPrecision, InsufficientPrecision, No
 from stabforge.localfield import (
     FieldElem,
     FieldTower,
+    binary_power,
     epsilon_alpha,
     euler_phi_prime_power,
     q_alpha_coeffs,
@@ -101,7 +102,7 @@ def reference_mul(x, y):
             dst = acc[i - e + k]
             for j in range(f):
                 dst[j] -= q[k] * acc[i][j]
-    return FieldElem(t, [[c % m for c in acc[i][:f]] for i in range(e)])
+    return t.from_grid([row[:f] for row in acc[:e]])
 
 
 def mul_towers():
@@ -137,6 +138,35 @@ def test_mul_matches_schoolbook_reference():
         for x in ops:
             for y in ops:
                 assert (x * y).grid == reference_mul(x, y).grid, (p, f, alpha, prec, x, y)
+
+
+def test_grid_is_a_view_of_the_flat_coefficients():
+    rng = random.Random(25)
+    for p, f, alpha, prec in mul_towers():
+        t = FieldTower(p, f, alpha, prec)
+        for x in (t.from_grid([[rng.randrange(t.mod) for _ in range(f)] for _ in range(t.e)]), t.pi(), t.beta()):
+            grid = x.grid
+            assert len(grid) == t.e and all(len(row) == f for row in grid), (p, f, alpha, prec)
+            assert [c for row in grid for c in row] == x.coeffs
+            assert t.from_grid(grid) == x
+            grid[0][0] += 1  # the view is a copy
+            assert t.from_grid(x.grid) == x
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 6, 7, 8, 13, 64, 100, 255])
+def test_binary_power_never_multiplies_by_one(k):
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a + b
+
+    # x^k in the additive monoid of integers, x = 1 and one = 0: operands are exponents
+    assert binary_power(1, k, 0, mul) == k
+    assert all(a and b for a, b in calls)
+    squarings = sum(a == b for a, b in calls)
+    assert squarings == max(k.bit_length() - 1, 0)
+    assert len(calls) - squarings == max(bin(k).count("1") - 1, 0)
 
 
 def test_epsilon_identity_grid():

@@ -7,8 +7,8 @@ Run from the root of a checkout: `stabforge` is imported from its `src/`, as
 elsewhere (`cd <checkout> && python3 <this checkout>/tools/microbench.py`).
 
 Times, in microseconds per operation:
-  FieldElem  `*`, invert, div_pi and galois_act(1) on FieldTower(2, 2, alpha, 8)
-             at e = 4, 16 and 64 (alpha = 3, 5, 7);
+  FieldElem  `*`, `+`, invert, div_pi, galois_act(1) and pi_level on
+             FieldTower(2, 2, alpha, 8) at e = 4, 16 and 64 (alpha = 3, 5, 7);
   OrderElem  `*` and invert at p = 3, p_prec 6 and n = 2, 4, 6 and 12, on
              operands w_0 + w_a S^a + w_b S^b with a unit w_0.
 Each operation is called once untimed (building any per-tower table), then
@@ -62,9 +62,11 @@ def field_ops(e):
     divisible = x * t.pi()
     return {
         "mul": lambda: x * y,
+        "add": lambda: x + y,
         "invert": unit.invert,
         "div_pi": divisible.div_pi,
         "galois_act": lambda: x.galois_act(1),
+        "pi_level": divisible.pi_level,
     }
 
 
