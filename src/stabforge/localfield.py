@@ -29,6 +29,9 @@ ResidueField per tower (tower.residue).  Its elements, the residue vectors
 of tower elements and the digits of pi-adic expansions, are f-tuples of
 digits in [0, p), lowest power of X first; X is the residue of beta and
 generates F_q^x.
+
+FieldElem and order.OrderElem share binary_power for powers and newton_inverse
+for inverses.
 """
 
 from __future__ import annotations
@@ -62,6 +65,31 @@ def binary_power(x, k: int, one, mul=operator.mul):
         if k & 1:
             out = mul(out, x)
     return out
+
+
+def newton_inverse(x, y0, one, steps: int, shortest: bool = False):
+    """x^-1 = (1 + z + ... + z^(K-1)) y0 with z = 1 - y0 x and z^K = 0.  Newton's
+    step y <- y + (1 - y x) y doubles the terms of the sum (m terms leave the
+    error z^m) until the error vanishes.  Where products lower the precision,
+    as the p-power shift of an order element does, each term past the least K
+    costs digits: shortest then stops there, by a binary search over the
+    stored z^(2^j).  Raises InsufficientPrecision when steps errors pass
+    without one vanishing."""
+    y, err = y0, one - y0 * x
+    if err.is_zero:
+        return y0
+    powers = []  # (sum of 2^j terms, z^(2^j)) as Newton doubles
+    while not (square := err * err).is_zero:
+        if len(powers) + 2 >= steps:
+            raise InsufficientPrecision("Newton iteration for the inverse did not converge")
+        powers.append((y, err))
+        y, err = y + err * y, square
+    if not shortest:
+        return y + err * y
+    for s, e in reversed(powers):
+        if not (longer := err * e).is_zero:
+            y, err = y + err * s, longer
+    return y + err * y0
 
 
 def q_alpha_coeffs(p: int, alpha: int):
@@ -457,17 +485,13 @@ class FieldElem:
         return binary_power(self, k, self.tower.one())
 
     def invert(self) -> "FieldElem":
-        """Inverse of a unit by Newton iteration from the residue-field inverse."""
+        """Inverse of a unit by newton_inverse from the residue-field inverse;
+        the error's pi-level, at least 1, doubles each step."""
         t = self.tower
         if not self.is_unit:
             raise NonUnit("only units are invertible in the ring")
-        y = t.from_beta_coeffs(t.residue.pow(self.residue_vector(), t.residue.q - 2))
-        for _ in range(t.prec.bit_length() + t.e.bit_length() + 3):  # each step doubles the pi-adic precision
-            err = t.one() - self * y
-            if err.is_zero:
-                return y
-            y = y + y * err
-        raise InsufficientPrecision("Newton iteration for the inverse did not converge")
+        y0 = t.from_beta_coeffs(t.residue.pow(self.residue_vector(), t.residue.q - 2))
+        return newton_inverse(self, y0, t.one(), t.prec.bit_length() + t.e.bit_length() + 3)
 
     # -- valuation and digits ---------------------------------------------------
 

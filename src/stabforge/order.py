@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit
 from .intarith import check_params, prime_factors
-from .localfield import FieldElem, FieldTower, binary_power
+from .localfield import FieldElem, FieldTower, binary_power, newton_inverse
 from .padic import PadicInt, hensel_sqrt
 from .unitclasses import normalize_unit
 
@@ -170,32 +170,21 @@ class OrderElem:
         return lead[0] + self.shift * self.params.n
 
     def invert(self) -> "OrderElem":
-        """Two-sided inverse: peel the minimal term, then a geometric series."""
+        """Two-sided inverse: the shortest newton_inverse sum from the inverse of
+        the leading term, whose error's S-level (at least 1) doubles each step."""
         lead = self._leading()
         if lead is None:
             raise IndeterminateAtPrecision("cannot invert zero at precision")
         _total, i, vp = lead
         pa = self.params
-        t = pa.witt
         w = self.coeffs[i]
         for _ in range(vp):
             w = w.div_pi()  # exact division by p in W_n
         w_inv = w.invert()
-        if i == 0:
-            t_inv = OrderElem(pa, -self.shift - vp, (w_inv,) + tuple(t.zero() for _ in range(pa.n - 1)))
-        else:
-            # (w S^i)^(-1) = (pu)^(-1) sigma^(n-i)(w^(-1)) S^(n-i)
-            coeffs = [t.zero()] * pa.n
-            coeffs[pa.n - i] = w_inv.galois_act(pa.n - i) * t.from_int(pa.u.val).invert()
-            t_inv = OrderElem(pa, -self.shift - vp - 1, tuple(coeffs))
-        y = t_inv * self - pa.one()
-        acc, term = pa.one(), -y
-        for _ in range(pa.n * (pa.p_prec + 1) + 1):
-            if term.is_zero:
-                return acc * t_inv
-            acc = acc + term
-            term = term * (-y)
-        raise InsufficientPrecision("geometric series for the inverse did not converge")
+        if i:  # (w S^i)^(-1) = (pu)^(-1) sigma^(n-i)(w^(-1)) S^(n-i)
+            w_inv = w_inv.galois_act(pa.n - i) * pa.witt.from_int(pa.u.val).invert()
+        t_inv = OrderElem(pa, -self.shift - vp - (i > 0), pa.from_witt(w_inv, -i % pa.n).coeffs)
+        return newton_inverse(self, t_inv, pa.one(), (pa.n * (pa.p_prec + 1) + 1).bit_length() + 1, shortest=True)
 
     def __repr__(self):
         parts = []

@@ -70,7 +70,8 @@ class FiltrationQuotient:
         t = self.tower
         pi_pow = t.pi()
         for _ in range(1, self.depth):
-            for j in range(t.f):
+            yield t.one() + pi_pow  # t_0 = 1 is its own Teichmueller lift
+            for j in range(1, t.f):
                 basis = tuple(1 if jj == j else 0 for jj in range(t.f))
                 yield t.one() + t.teichmuller(basis) * pi_pow
             pi_pow = pi_pow * t.pi()

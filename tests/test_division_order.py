@@ -4,6 +4,7 @@ import pytest
 
 from stabforge.errors import IndeterminateAtPrecision, InsufficientPrecision, UnknownName
 from stabforge.order import (
+    OrderElem,
     OrderParams,
     check_verdict,
     embed_q8,
@@ -76,14 +77,89 @@ def test_invert():
     assert x.invert() * x == pa.one()
 
 
-def test_invert_raises_when_the_series_runs_out():
-    # the geometric series is bounded by p_prec; lowered after construction it
-    # stops before the terms vanish at the Witt ring's precision
+def test_invert_raises_when_newton_runs_out():
+    # Newton's step bound reads p_prec; lowered after construction it stops
+    # before the error vanishes at the Witt ring's precision
     pa = params22()
     x = pa.one() + pa.s()
     pa.p_prec = 0
-    with pytest.raises(InsufficientPrecision, match="series"):
+    with pytest.raises(InsufficientPrecision, match="Newton"):
         x.invert()
+
+
+def series_inverse(x):
+    """Reference inverse: peel the leading term t, then sum the geometric
+    series (t^-1 x)^-1 = sum (1 - t^-1 x)^k term by term, up to n(p_prec + 1) + 1
+    terms, and multiply by t^-1."""
+    _total, i, vp = x._leading()
+    pa = x.params
+    t = pa.witt
+    w = x.coeffs[i]
+    for _ in range(vp):
+        w = w.div_pi()
+    w_inv = w.invert()
+    if i == 0:
+        t_inv = OrderElem(pa, -x.shift - vp, (w_inv,) + tuple(t.zero() for _ in range(pa.n - 1)))
+    else:
+        coeffs = [t.zero()] * pa.n
+        coeffs[pa.n - i] = w_inv.galois_act(pa.n - i) * t.from_int(pa.u.val).invert()
+        t_inv = OrderElem(pa, -x.shift - vp - 1, tuple(coeffs))
+    y = t_inv * x - pa.one()
+    acc, term = pa.one(), -y
+    for _ in range(pa.n * (pa.p_prec + 1) + 1):
+        if term.is_zero:
+            return acc * t_inv
+        acc = acc + term
+        term = term * (-y)
+    raise AssertionError("the reference series did not converge")
+
+
+def dense_operands(p, n):
+    """Seeded operands of the p_prec 6 order with every coefficient drawn: a
+    unit, p times a unit (shift 1), and two whose leading term is w S with w a
+    unit, the first with every other coefficient divisible by p, the second
+    with only the S^0 one.  For the second, 1 - t^-1 x has S-level 1 and shift
+    -1: every term of the series lowers the shift, so a longer sum than the
+    series' returns fewer digits."""
+    pa = OrderParams(p, n, p_prec=6)
+    rng = random.Random(f"dense:{p}:{n}")
+    mod = p**6
+
+    def draw(shift, lead, divisible):
+        rows = [[rng.randrange(mod) * (p if i in divisible else 1) for _ in range(n)] for i in range(n)]
+        rows[lead][0] = rng.randrange(1, p) + p * rng.randrange(mod // p)
+        return OrderElem(pa, shift, tuple(pa.witt.from_grid([row]) for row in rows))
+
+    return [draw(0, 0, ()), draw(1, 0, ()), draw(0, 1, range(n)), draw(0, 1, (0,))]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [2, 4, 6, 12])
+def test_invert_is_two_sided_on_dense_operands(p, n):
+    for x in dense_operands(p, n)[:3]:  # the fourth keeps too few digits to decide at n >= 4
+        y = x.invert()
+        one = x.params.one()
+        assert check_verdict(x * y, one) == check_verdict(y * x, one) == "holds"
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3) for n in (2, 4, 6)] + [(3, 12)])
+def test_invert_equals_the_geometric_series(p, n):
+    # the same coefficients at the same shift; at n = 12 the series takes
+    # about 0.5 s, so it checks the unit operand only
+    for x in dense_operands(p, n)[: 1 if n == 12 else 4]:
+        y, ref = x.invert(), series_inverse(x)
+        assert y.shift == ref.shift
+        assert [c.coeffs for c in y.coeffs] == [c.coeffs for c in ref.coeffs]
+
+
+def test_q8_holds_at_higher_precisions():
+    # (1+i)^-1 in line 14 is an inverse like the fourth dense operand's: its
+    # leading term is a unit times S and its S^0 coefficient is divisible by 2
+    from importlib import resources
+
+    q8 = resources.files("stabforge").joinpath("scripts/q8.rel").read_text()
+    for p_prec in range(6, 13):
+        assert all(r.verdict == "holds" for r in run_script(q8, params22(p_prec=p_prec))), p_prec
 
 
 def test_associativity_and_centrality_randomized():

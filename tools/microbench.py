@@ -10,7 +10,8 @@ Times, in microseconds per operation:
   FieldElem  `*`, `+`, invert, div_pi, galois_act(1) and pi_level on
              FieldTower(2, 2, alpha, 8) at e = 4, 16 and 64 (alpha = 3, 5, 7);
   OrderElem  `*` and invert at p = 3, p_prec 6 and n = 2, 4, 6 and 12, on
-             operands w_0 + w_a S^a + w_b S^b with a unit w_0.
+             operands w_0 + w_a S^a + w_b S^b with a unit w_0, and invert at
+             n = 6 and 12 on a dense operand (every coefficient drawn).
 Each operation is called once untimed (building any per-tower table), then
 each of the N repeats times a batch of calls lasting at least 0.05 s.  Prints
 one JSON object: the median over the repeats of each operation's time per call.
@@ -83,7 +84,12 @@ def order_ops(n):
         return OrderElem(params, 0, tuple(params.witt.from_grid([row]) for row in coeffs))
 
     x, y = draw(), draw()
-    return {"mul": lambda: x * y, "invert": x.invert}
+    ops = {"mul": lambda: x * y, "invert": x.invert}
+    if n >= 6:
+        rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = rng.randrange(1, 3) + 3 * rng.randrange(mod // 3)
+        ops["invert dense"] = OrderElem(params, 0, tuple(params.witt.from_grid([row]) for row in rows)).invert
+    return ops
 
 
 def main(argv=None):
