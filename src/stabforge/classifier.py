@@ -4,19 +4,23 @@ extended form, as total decision procedures over (p, n, u).
 The inner-group classes come from the metacyclic/quaternionic classification;
 the extended classes iterate maximal abelian F_0 over the tower levels and
 apply the extendability branches, consuming r1 verdicts from unitclasses.
-Each class shape has one constructor: `_extension` builds the
-(C_{p^alpha d}.r1):W rows of Thm 250 and Thm 259, `_t24` the T24 product rows
-of Thm 032 and Thm 260.  At n = 2 the answer is the published table of
-Thm 261 (p = 3) or Thm 264 (p = 2); each entry takes the provenance of the
-engine class of the same order, and a call whose engine orders differ from the
-table's raises.  Every emitted label carries its theorem provenance and a
-multiplicity.
+Every class built from data is an extension (F_0 = C_{p^alpha d}).r1 by a
+Galois part W of order w, and `_row` is its one constructor: it derives the
+order p^alpha d r1 w and the name, and records alpha and r1.  It builds the
+cyclic rows (Thm 024, Thm 032, Cor 212), the C_{p^alpha}:C_{d(p-1)} rows of
+Thm 024 and, through `_extension`, the rows of Thm 250 and Thm 259.  Only the
+closed forms write their orders: the T24 products (`_t24`), the Thm 260
+extension, and the n = 2 tables of Thm 261 (p = 3) and Thm 264 (p = 2), held
+as (order, name) data in `_N2_TABLES`.  At n = 2 each table entry takes the
+provenance of the engine class of the same order, and a call whose engine
+orders differ from the table's raises.  Every emitted label carries its
+theorem provenance and a multiplicity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import NotApplicable
 from .intarith import check_params, divisors, split_p
@@ -30,7 +34,8 @@ class GroupClassLabel:
     name: str
     provenance: str = field(compare=False)
     count: int = field(default=1, compare=False)
-    params: tuple = field(default=(), compare=False)
+    alpha: int | None = field(default=None, compare=False)  # None on the closed forms
+    r1: int | None = field(default=None, compare=False)
     note: str = field(default="", compare=False)
 
     def to_json(self):
@@ -54,9 +59,9 @@ class ClassificationInput:
     def __post_init__(self):
         check_params(self.p, n=self.n)
         mod = 8 if self.p == 2 else self.p**2
-        object.__setattr__(self, "u_mod", self.u_mod % mod)
         if math.gcd(self.u_mod, self.p) != 1:
-            raise ValueError("u must be a unit residue")
+            raise ValueError(f"u_mod must be prime to p = {self.p}, got {self.u_mod} (read mod {mod})")
+        object.__setattr__(self, "u_mod", self.u_mod % mod)
 
 
 @dataclass
@@ -87,6 +92,14 @@ def _n_alpha(p: int, n: int, alpha: int) -> int:
     return n // euler_phi_prime_power(p, alpha)
 
 
+def _row(p: int, alpha: int, d: int, name: str, provenance: str, r1: int = 1, w: int = 1, **extra):
+    """The (C_{p^alpha d}.r1):W row of order p^alpha d r1 w; `name` is a format
+    template over F0 = p^alpha d, P = p^alpha, D = d r1, r1 and w."""
+    P = p**alpha
+    label = name.format(F0=P * d, P=P, D=d * r1, r1=r1, w=w)
+    return GroupClassLabel(P * d * r1 * w, label, provenance, alpha=alpha, r1=r1, **extra)
+
+
 def maximal_in_Sn(p: int, n: int) -> ClassificationReport:
     """Conjugacy classes of maximal finite subgroups of the stabilizer group."""
     check_params(p, n=n)
@@ -94,14 +107,10 @@ def maximal_in_Sn(p: int, n: int) -> ClassificationReport:
     notes = []
     k, m = _split_n(p, n)
     if p > 2:
-        classes.append(GroupClassLabel(p**n - 1, f"C{p**n - 1}", "thm024[G0]" if k else "prop022"))
+        classes.append(_row(p, 0, p**n - 1, "C{F0}", "thm024[G0]" if k else "prop022"))
         for alpha in range(1, k + 1):
-            quot = (p ** _n_alpha(p, n, alpha) - 1) * (p - 1)
-            classes.append(
-                GroupClassLabel(
-                    p**alpha * quot, f"C{p**alpha}:C{quot}", f"thm024[G{alpha}]", params=(p**alpha, quot)
-                )
-            )
+            d = p ** _n_alpha(p, n, alpha) - 1
+            classes.append(_row(p, alpha, d, "C{P}:C{D}", f"thm024[G{alpha}]", r1=p - 1))
     else:
         for alpha in range(1, k + 1):
             if alpha == 2 and k == 2:
@@ -112,9 +121,8 @@ def maximal_in_Sn(p: int, n: int) -> ClassificationReport:
                     notes.append("k=2, m=1: G_1 = C_6 embeds in T_24 and is dropped (Cor 173)")
                 classes.append(_t24(m, "thm032+thm165" + ("+cor173-dedup[G1=C6<T24]" if m == 1 else "")))
             else:
-                order = 2**alpha * (2 ** _n_alpha(2, n, alpha) - 1)
                 prov = f"thm032[G{alpha}]" if k > 1 else "prop022"
-                classes.append(GroupClassLabel(order, f"C{order}", prov))
+                classes.append(_row(2, alpha, 2 ** _n_alpha(2, n, alpha) - 1, "C{F0}", prov))
     return ClassificationReport({"p": p, "n": n}, classes, notes=notes)
 
 
@@ -127,7 +135,7 @@ def abelian_classes(p: int, n: int) -> ClassificationReport:
     for alpha in range(0, k + 1):
         for d in divisors(p ** _n_alpha(p, n, alpha) - 1):
             pairs.append((alpha, d))
-            classes.append(GroupClassLabel(p**alpha * d, f"C{p**alpha * d}", f"cor212[alpha={alpha},d={d}]"))
+            classes.append(_row(p, alpha, d, "C{F0}", f"cor212[alpha={alpha},d={d}]"))
     return ClassificationReport({"p": p, "n": n}, classes, pairs=pairs)
 
 
@@ -145,8 +153,7 @@ def quaternionic_extension(p: int, n: int, u_mod: int) -> dict:
     if n % 4 != 2:
         raise NotApplicable("Q_8 embeds only when n = 2 mod 4")
     m = n // 2
-    u_mod %= 8
-    exists = u_mod in (1, 7)
+    exists = u_mod % 8 in (1, 7)
     return {
         "exists": exists,
         "order": 48 * m * (2**m - 1) if exists else None,
@@ -156,26 +163,17 @@ def quaternionic_extension(p: int, n: int, u_mod: int) -> dict:
 
 
 def _extension(p: int, n: int, alpha: int, u_mod: int, w: int, branch: str, primed: bool, **extra):
-    """The (C_{p^alpha d}.r1):W row at d = p^n_alpha - 1, r1 the largest
-    admissible first index and w the order of the Galois part W (G, or G' when
-    primed)."""
+    """The (C_{p^alpha d}.r1):W row at d = p^n_alpha - 1, with r1 the largest
+    admissible first index and W = G (G' when primed) of order w."""
     d = p ** _n_alpha(p, n, alpha) - 1
     v1 = r1_max(p, n, alpha, d, u_mod)
-    f0_order = p**alpha * d
-    return GroupClassLabel(
-        f0_order * v1.maximal * w,
-        f"(C{f0_order}.{v1.maximal}):G" + "'" * primed,
-        f"{branch}[alpha={alpha},r1={v1.branch}]",
-        params=(alpha, v1.maximal, w),
-        **extra,
-    )
+    name = "(C{F0}.{r1}):G" + "'" * primed
+    return _row(p, alpha, d, name, f"{branch}[alpha={alpha},r1={v1.branch}]", r1=v1.maximal, w=w, **extra)
 
 
 def _t24(m: int, provenance: str):
     """The binary tetrahedral product class T24 x C_(2^m - 1)."""
-    return GroupClassLabel(
-        24 * (2**m - 1), f"T24xC{2**m - 1}" if m > 1 else "T24", provenance, params=(24, 2**m - 1)
-    )
+    return GroupClassLabel(24 * (2**m - 1), f"T24xC{2**m - 1}" if m > 1 else "T24", provenance)
 
 
 def _general_odd(p: int, n: int, u_mod: int):
@@ -196,25 +194,17 @@ def _general_two(n: int, u_mod: int):
     k, m = _split_n(2, n)
     for alpha in range(1, k + 1):
         if alpha == 1:
-            f0_order = 2 * (2**n - 1)
+            # r1 divides phi(2) = 1, so the row is F_0:G
             v1 = r1_max(2, n, 1, 2**n - 1, u_mod)
             count = 1 if n % 2 else 2
             note = "" if count == 1 else "2-Sylow C2xC{2^(k-1)} vs C{2^k} (two classes)"
-            classes.append(
-                GroupClassLabel(
-                    f0_order * n,
-                    f"C{f0_order}:G",
-                    f"thm259.2[alpha=1,r1={v1.branch}]",
-                    count=count,
-                    params=(alpha, v1.maximal, n),
-                    note=note,
-                )
-            )
+            prov = f"thm259.2[alpha=1,r1={v1.branch}]"
+            classes.append(_row(2, 1, 2**n - 1, "C{F0}:G", prov, r1=v1.maximal, w=n, count=count, note=note))
         elif alpha == 2 and k == 2:
-            if u_mod in (1, 7):
-                q = quaternionic_extension(2, n, u_mod)
+            q = quaternionic_extension(2, n, u_mod)
+            if q["exists"]:
                 name = f"(T24xC{2**m - 1}):C{n}" if m > 1 else "T24:C2"
-                classes.append(GroupClassLabel(q["order"], name, "thm260", params=(alpha,)))
+                classes.append(GroupClassLabel(q["order"], name, q["provenance"]))
             else:
                 # w = 2m: the full Galois group of Q_2(F_0)
                 note = "one of the two classes is contained in the T24 product class (Remark 265)"
@@ -227,39 +217,29 @@ def _general_two(n: int, u_mod: int):
     return classes
 
 
-# -- the hardcoded n = 2 tables ----------------------------------------------------
+# -- the published n = 2 tables ---------------------------------------------------
 
-
-def _table_261(u_mod3: int):
-    sd16 = GroupClassLabel(16, "SD16", "thm261")
-    if u_mod3 % 3 == 1:
-        return [sd16, GroupClassLabel(24, "C3:Q8", "thm261[u=1 mod 3]")]
-    return [sd16, GroupClassLabel(24, "C3:D8", "thm261[u=-1 mod 3]")]
-
-
-def _table_264(u_mod8: int):
-    c3c4 = GroupClassLabel(12, "C3:C4", "thm264")
-    c6c2 = GroupClassLabel(12, "C6:C2", "thm264")
-    t24 = GroupClassLabel(24, "T24", "thm264")
-    tables = {
-        1: [c6c2, GroupClassLabel(48, "O48", "thm264[u=1 mod 8]")],
-        7: [c3c4, GroupClassLabel(48, "T24:C2", "thm264[u=-1 mod 8]")],
-        3: [c3c4, c6c2, GroupClassLabel(8, "D8", "thm264[u=3 mod 8]"), t24],
-        5: [c3c4, c6c2, GroupClassLabel(8, "Q8", "thm264[u=-3 mod 8]"), t24],
-    }
-    return tables[u_mod8 % 8]
+# (order, name) per class, keyed by (p, u mod 3) for Thm 261 and (p, u mod 8)
+# for Thm 264: the structures depend on u through x_1^2
+_N2_TABLES = {
+    (3, 1): [(16, "SD16"), (24, "C3:Q8")],
+    (3, 2): [(16, "SD16"), (24, "C3:D8")],
+    (2, 1): [(12, "C6:C2"), (48, "O48")],
+    (2, 7): [(12, "C3:C4"), (48, "T24:C2")],
+    (2, 3): [(8, "D8"), (12, "C3:C4"), (12, "C6:C2"), (24, "T24")],
+    (2, 5): [(8, "Q8"), (12, "C3:C4"), (12, "C6:C2"), (24, "T24")],
+}
 
 
 def _refine_n2(p: int, u_mod: int, classes):
-    """The published n = 2 table (the structures depend on u through x_1^2),
-    each entry with the provenance of the general-engine class of its order;
-    the engine's orders must be the table's."""
+    """The published n = 2 table, each entry with the provenance of the
+    general-engine class of its order; the engine's orders must be the table's."""
     provenance = {c.order: c.provenance for c in classes}
     table = hardcoded_n2_table(p, u_mod)
-    if set(provenance) != {c.order for c in table}:
+    if set(provenance) != {order for order, _name in table}:
         orders = sorted(provenance)
         raise AssertionError(f"engine orders {orders} differ from the n = 2 table at p = {p}, u = {u_mod}")
-    return [replace(c, provenance=provenance[c.order]) for c in table]
+    return [GroupClassLabel(order, name, provenance[order]) for order, name in table]
 
 
 def maximal_in_Gn(inp: ClassificationInput) -> ClassificationReport:
@@ -267,9 +247,7 @@ def maximal_in_Gn(inp: ClassificationInput) -> ClassificationReport:
     p, n = inp.p, inp.n
     if p > 2 and n % (p - 1):
         # no p-torsion: the single unramified tower class
-        classes = [
-            GroupClassLabel((p**n - 1) * n, f"C{p**n - 1}:C{n}", "thm250.2[alpha=0]", params=(0, 1, n))
-        ]
+        classes = [_row(p, 0, p**n - 1, "C{F0}:C{w}", "thm250.2[alpha=0]", w=n)]
         return ClassificationReport({"p": p, "n": n, "u_mod": inp.u_mod}, classes)
     classes = _general_odd(p, n, inp.u_mod) if p > 2 else _general_two(n, inp.u_mod)
     if n == 2 and p in (2, 3):
@@ -278,11 +256,10 @@ def maximal_in_Gn(inp: ClassificationInput) -> ClassificationReport:
 
 
 def hardcoded_n2_table(p: int, u_mod: int):
-    if p == 3:
-        return sorted(_table_261(u_mod))
-    if p == 2:
-        return sorted(_table_264(u_mod))
-    raise NotApplicable("tables exist for p in {2, 3} only")
+    """The published n = 2 table at u as sorted (order, name) pairs."""
+    if p not in (2, 3):
+        raise NotApplicable("tables exist for p in {2, 3} only")
+    return sorted(_N2_TABLES[p, u_mod % (8 if p == 2 else 3)])
 
 
 def scan(p_values, n_values, u_values):

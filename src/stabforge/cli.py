@@ -205,6 +205,8 @@ def build_parser():
 
 
 def _cmd_classify(args):
+    if args.inner + args.abelian + args.scan > 1:
+        raise ValueError("classify takes at most one of --inner, --abelian and --scan")
     if args.scan:
         primes = [q for q in range(2, args.p_max + 1) if prime_factors(q) == [q]]
         rows = []

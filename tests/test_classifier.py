@@ -98,9 +98,7 @@ def test_general_engine_matches_hardcoded_tables():
             engine = classifier._general_two(2, u) if p == 2 else classifier._general_odd(p, 2, u)
             provenance = {c.order: c.provenance for c in engine}
             rep = maximal_in_Gn(ClassificationInput(p, 2, u))
-            table = hardcoded_n2_table(p, u)
-            assert sorted(c.name for c in rep.classes) == sorted(c.name for c in table)
-            assert sorted(c.order for c in rep.classes) == sorted(c.order for c in table)
+            assert sorted((c.order, c.name) for c in rep.classes) == hardcoded_n2_table(p, u)
             assert [c.provenance for c in rep.classes] == [provenance[c.order] for c in rep.classes]
 
 
@@ -151,14 +149,14 @@ def test_thm260_on_grid():
 def test_thm250_full_extension_branches():
     # p = 3, n = 6: k = 2; alpha = 2 extends fully iff u is a generator mod 9
     rep = maximal_in_Gn(ClassificationInput(3, 6, 4))
-    alpha2 = [c for c in rep.classes if c.params and c.params[0] == 2]
+    alpha2 = [c for c in rep.classes if c.alpha == 2]
     assert len(alpha2) == 1 and "thm250.3" in alpha2[0].provenance
     rep = maximal_in_Gn(ClassificationInput(3, 6, 1))
-    alpha2 = [c for c in rep.classes if c.params and c.params[0] == 2]
+    alpha2 = [c for c in rep.classes if c.alpha == 2]
     assert len(alpha2) == 1 and "thm250.1" in alpha2[0].provenance
     # u = -1 mod 9 is torsion times 1 mod 9: no full extension either
     rep = maximal_in_Gn(ClassificationInput(3, 6, 8))
-    alpha2 = [c for c in rep.classes if c.params and c.params[0] == 2]
+    alpha2 = [c for c in rep.classes if c.alpha == 2]
     assert "thm250.1" in alpha2[0].provenance
 
 
@@ -169,12 +167,9 @@ def test_epsilon_consistency_with_engine():
     for p, n, u in cases:
         rep = maximal_in_Gn(ClassificationInput(p, n, u))
         for c in rep.classes:
-            if not c.params:
-                continue
-            alpha, r1 = c.params[0], c.params[1]
-            if alpha >= 1 and r1 == p - 1:
-                d = p ** (n // euler_phi_prime_power(p, alpha)) - 1
-                assert epsilon_test(p, n, alpha, d, u, p - 1)
+            if c.alpha and c.r1 == p - 1:
+                d = p ** (n // euler_phi_prime_power(p, c.alpha)) - 1
+                assert epsilon_test(p, n, c.alpha, d, u, p - 1)
 
 
 def test_order_arithmetic_bounds():
@@ -183,8 +178,8 @@ def test_order_arithmetic_bounds():
         rep = maximal_in_Gn(ClassificationInput(p, n, u))
         sn = {None: None}
         for c in rep.classes:
-            if c.params and isinstance(c.params[0], int) and len(c.params) >= 3:
-                alpha = c.params[0]
+            if c.alpha is not None:
+                alpha = c.alpha
                 na = n // euler_phi_prime_power(p, alpha)
                 bound = n * (p**alpha * (p**na - 1) * (p - 1 if p > 2 else 1))
                 if p == 2:

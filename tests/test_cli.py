@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -93,6 +94,9 @@ REJECTED = [
     # checks that the precision leaves undecided are no false verdict (exit 1)
     ["verify", "q8.rel", "--p-prec", "5"],
     ["verify", "example049.rel", "--p", "3", "--n", "4", "--p-prec", "2"],
+    # a second mode flag was ignored: --abelian after --inner, --inner and --abelian after --scan
+    ["classify", "--p", "3", "--n", "2", "--inner", "--abelian"],
+    ["classify", "--scan", "--inner"],
 ]
 
 
@@ -120,6 +124,7 @@ def test_bad_input_message_names_the_argument(tmp_path):
         (["verify", str(tmp_path / "power.rel")], "line 2: bad expression 'S **': exponent must be an integer literal"),
         (["verify", str(tmp_path / "name.rel"), "--p", "3"], "line 3: unknown name 'rho2'; defined here: S, omega, x"),
         (["classify", "--p", "3", "--n", "-2"], "n must be >= 1, got -2"),
+        (["classify", "--p", "3", "--n", "2", "--u-mod", "3"], "u_mod must be prime to p = 3, got 3 (read mod 9)"),
         (["verify", "q8.rel", "--n", "0"], "n must be >= 1, got 0"),
         (["verify", "q8.rel", "--u", "p:2 [1,0]"], "unit precision too low for the requested test"),
         (["verify", "q8.rel", "--p", "3", "--n", "2"], "line 3: unknown name 'rho'; defined here: S, omega"),
@@ -302,6 +307,29 @@ def test_table_mode():
         *(f"p=3 n=1 u={u}: C2:C1" for u in (1, 2, 4, 5, 7, 8)),
         *(f"p=3 n=2 u={u}: SD16, C3:{'Q8' if u % 3 == 1 else 'D8'}" for u in (1, 2, 4, 5, 7, 8)),
     ]
+
+
+def _classify_argvs():
+    """classify commands outside the benchmark's classify-grid (p <= 7, n <= 12)."""
+    for p, ns in [(11, range(1, 13)), (13, range(1, 13)), (2, range(13, 25)), (3, range(13, 25))]:
+        units = [u for u in range(1, 8 if p == 2 else p * p) if u % p]
+        for n in ns:
+            base = ["classify", "--p", str(p), "--n", str(n)]
+            yield from ([*base, "--u-mod", str(u)] for u in units)
+            yield [*base, "--inner"]
+            yield [*base, "--abelian"]
+    yield ["classify", "--scan", "--mode", "table", "--p-max", "13", "--n-max", "14"]
+
+
+def test_classify_bytes_are_pinned_beyond_the_benchmark_grid():
+    # the digest was taken before the class rows became records; a refactor keeps every byte
+    digest = hashlib.sha256()
+    for argv in _classify_argvs():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(argv)
+        digest.update(json.dumps([argv, rc, out.getvalue()]).encode())
+    assert digest.hexdigest() == "c11ce162ed3ee99a58fc82da22d949a80044ec2b49b1ec61562d17c1023b52b1"
 
 
 def test_verify_reads_a_unit_literal():

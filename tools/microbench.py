@@ -1,4 +1,4 @@
-"""Microbenchmarks of the tower and order layers on fixed seeded operands.
+"""Microbenchmarks of the tower, order, echelon and Smith layers on fixed seeded operands.
 
 usage: python3 tools/microbench.py [--repeat N]
 
@@ -11,7 +11,14 @@ Times, in microseconds per operation:
              FieldTower(2, 2, alpha, 8) at e = 4, 16 and 64 (alpha = 3, 5, 7);
   OrderElem  `*` and invert at p = 3, p_prec 6 and n = 2, 4, 6 and 12, on
              operands w_0 + w_a S^a + w_b S^b with a unit w_0, and invert at
-             n = 6 and 12 on a dense operand (every coefficient drawn).
+             n = 6 and 12 on a dense operand (every coefficient drawn);
+  SubgroupEchelon  reduce of a square y^2 (a member, so every level is
+             cleared) and insert of a unit 1 + pi y (with its p-th power
+             chain, into a copy of the echelon) against the span of
+             <zeta, U_1^2> in FiltrationQuotient.standard(2, 2, alpha, 2)
+             at e = 4, 16 and 64;
+  smith_invariants  on seeded n x n integer matrices, entries in [-50, 50),
+             at n = 4, 8 and 16.
 Each operation is called once untimed (building any per-tower table), then
 each of the N repeats times a batch of calls lasting at least 0.05 s.  Prints
 one JSON object: the median over the repeats of each operation's time per call.
@@ -30,8 +37,10 @@ import time
 
 sys.path.insert(0, os.path.abspath("src"))
 
+from stabforge.cohomology import smith_invariants  # noqa: E402
 from stabforge.localfield import FieldTower  # noqa: E402
 from stabforge.order import OrderElem, OrderParams  # noqa: E402
+from stabforge.unitclasses import FiltrationQuotient, SubgroupEchelon, subgroup_span  # noqa: E402
 
 BATCH_S = 0.05
 
@@ -92,6 +101,28 @@ def order_ops(n):
     return ops
 
 
+def echelon_ops(e):
+    quotient = FiltrationQuotient.standard(2, 2, e.bit_length(), 2)
+    span = subgroup_span(quotient, 2, include_mu_torsion=True)
+    t = quotient.tower
+    rng = random.Random(f"echelon:{e}")
+    y = t.one() + t.pi() * t.from_grid([[rng.randrange(t.mod) for _ in range(t.f)] for _ in range(t.e)])
+
+    def insert():
+        copy = SubgroupEchelon(quotient)
+        copy.entries = dict(span.entries)
+        copy.insert(y)
+
+    square = y * y
+    return {"reduce": lambda: span.reduce(square), "insert": insert}
+
+
+def smith_op(n):
+    rng = random.Random(f"smith:{n}")
+    a = [[rng.randrange(-50, 50) for _ in range(n)] for _ in range(n)]
+    return lambda: smith_invariants(a)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5, help="timed batches per operation (default 5)")
@@ -105,6 +136,11 @@ def main(argv=None):
     for n in (2, 4, 6, 12):
         for name, fn in order_ops(n).items():
             median[f"OrderElem.{name} n={n}"] = per_call_us(fn, args.repeat)
+    for e in (4, 16, 64):
+        for name, fn in echelon_ops(e).items():
+            median[f"SubgroupEchelon.{name} e={e}"] = per_call_us(fn, args.repeat)
+    for n in (4, 8, 16):
+        median[f"smith_invariants {n}x{n}"] = per_call_us(smith_op(n), args.repeat)
     out = {
         "unit": "us per call",
         "repeat": args.repeat,
