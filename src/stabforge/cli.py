@@ -93,12 +93,12 @@ def build_parser():
     )
     c.add_argument("--p", type=int)
     c.add_argument("--n", type=int)
-    c.add_argument("--u-mod", type=int, default=1, help="u mod p^2 (odd p) or mod 8 (p=2)")
+    c.add_argument("--u-mod", type=int, help="u mod p^2 (odd p) or mod 8 (p=2); default 1")
     c.add_argument("--inner", action="store_true", help="classes inside the stabilizer group")
     c.add_argument("--abelian", action="store_true", help="abelian classes, as (alpha, d) pairs")
     c.add_argument("--scan", action="store_true", help="sweep a grid, emit a table")
-    c.add_argument("--p-max", type=int, default=3)
-    c.add_argument("--n-max", type=int, default=6)
+    c.add_argument("--p-max", type=int, help="--scan: largest prime (default 3)")
+    c.add_argument("--n-max", type=int, help="--scan: largest height (default 6)")
     c.add_argument("--mode", choices=["json", "table"], default="json")
 
     e = sub.add_parser(
@@ -204,13 +204,33 @@ def build_parser():
     return ap
 
 
+# the value flags each classify mode reads; mode "" (no mode flag) classifies the extended group
+_CLASSIFY_READS = {
+    "--scan": ("--p-max", "--n-max"),
+    "--inner": ("--p", "--n"),
+    "--abelian": ("--p", "--n"),
+    "": ("--p", "--n", "--u-mod"),
+}
+
+
 def _cmd_classify(args):
     if args.inner + args.abelian + args.scan > 1:
         raise ValueError("classify takes at most one of --inner, --abelian and --scan")
+    mode = next((flag for flag in ("--scan", "--inner", "--abelian") if getattr(args, flag[2:])), "")
+    given = {"--p": args.p, "--n": args.n, "--u-mod": args.u_mod, "--p-max": args.p_max, "--n-max": args.n_max}
+    stray = [flag for flag, value in given.items() if value is not None and flag not in _CLASSIFY_READS[mode]]
+    if stray:
+        *first, last = _CLASSIFY_READS[mode]
+        raise ValueError(
+            f"classify {mode or 'without --scan, --inner or --abelian'} does not read {', '.join(stray)};"
+            f" it reads {', '.join(first)} and {last}"
+        )
     if args.scan:
-        primes = [q for q in range(2, args.p_max + 1) if prime_factors(q) == [q]]
+        p_max = 3 if args.p_max is None else args.p_max
+        n_max = 6 if args.n_max is None else args.n_max
+        primes = [q for q in range(2, p_max + 1) if prime_factors(q) == [q]]
         rows = []
-        for p, n, u, rep in classifier.scan(primes, range(1, args.n_max + 1), range(1, 9)):
+        for p, n, u, rep in classifier.scan(primes, range(1, n_max + 1), range(1, 9)):
             rows.append({"p": p, "n": n, "u_mod": u, "classes": [c.name for c in sorted(rep.classes)]})
         if args.mode == "table":
             for r in rows:
@@ -227,7 +247,8 @@ def _cmd_classify(args):
     elif args.abelian:
         rep = classifier.abelian_classes(args.p, args.n)
     else:
-        rep = classifier.maximal_in_Gn(classifier.ClassificationInput(args.p, args.n, args.u_mod))
+        u_mod = 1 if args.u_mod is None else args.u_mod
+        rep = classifier.maximal_in_Gn(classifier.ClassificationInput(args.p, args.n, u_mod))
     _emit(rep.to_json(), args.mode)
     return 0
 

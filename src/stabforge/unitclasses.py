@@ -11,6 +11,13 @@ Every power class, in epsilon_test and is_kth_power alike, is decided by one
 call: membership(x, subgroup_span(FiltrationQuotient(tower, default_depth(p,
 alpha, k)), k, mu)).  Only the prime-to-p part of a unit is read off the
 residue field.  is_kth_power serves as the cross-check of epsilon_test.
+
+The engine takes no Teichmueller lift and inverts no tower element, since the
+answer needs neither: level generators 1 + p^v beta^j pi^r are written as
+coefficient lists, membership drops the torsion part of x by the (q-1)-th
+power (prime to p, so it permutes U_1/U_depth and the span), reduction
+multiplies by non-negative powers of entries, and epsilon_test divides by u
+as an integer mod p^prec.
 """
 
 from __future__ import annotations
@@ -66,15 +73,16 @@ class FiltrationQuotient:
         return cls(tower, depth)
 
     def level_generators(self):
-        """Units 1 + t_j pi^i over levels 1 <= i < depth and residue basis t_j."""
+        """1 + p^v beta^j pi^r for each level i = v e + r, 1 <= i < depth, and j < f.
+        At level i their leading residues are c^v X^j, c the residue of p/pi^e
+        (FieldElem.leading_residue): an F_p-basis of F_q, so they generate U_1/U_depth."""
         t = self.tower
-        pi_pow = t.pi()
-        for _ in range(1, self.depth):
-            yield t.one() + pi_pow  # t_0 = 1 is its own Teichmueller lift
-            for j in range(1, t.f):
-                basis = tuple(1 if jj == j else 0 for jj in range(t.f))
-                yield t.one() + t.teichmuller(basis) * pi_pow
-            pi_pow = pi_pow * t.pi()
+        for i in range(1, self.depth):
+            v, r = divmod(i, t.e)
+            for j in range(t.f):
+                flat = [1] + [0] * (t.e * t.f - 1)
+                flat[r * t.f + j] += t.p**v  # below p^prec by the depth guard
+                yield FieldElem(t, flat)
 
 
 class SubgroupEchelon:
@@ -142,17 +150,6 @@ class SubgroupEchelon:
         return len(self.entries)
 
 
-def project_to_principal_units(x: FieldElem) -> FieldElem:
-    """Split off the prime-to-p Teichmueller part: x / teich(residue of x)."""
-    if not x.is_unit:
-        raise NonUnit("only units project to U_1")
-    t = x.tower
-    r = x.residue_vector()
-    if r == tuple(1 if j == 0 else 0 for j in range(t.f)):
-        return x
-    return x * t.teichmuller(r).invert()
-
-
 def subgroup_span(quotient: FiltrationQuotient, k: int, include_mu_torsion: bool) -> SubgroupEchelon:
     """Echelon closure of <zeta_{p^alpha} if included, U_1^k> inside U_1/U_depth."""
     t = quotient.tower
@@ -169,8 +166,12 @@ def subgroup_span(quotient: FiltrationQuotient, k: int, include_mu_torsion: bool
 
 
 def membership(x: FieldElem, span: SubgroupEchelon) -> bool:
-    """Is the class of x in the span?  x is reduced by its torsion part first."""
-    return project_to_principal_units(x) in span
+    """Is the U_1 part w of the unit x = tau w (tau in mu_(q-1)) in the span?  x^(q-1)
+    = w^(q-1), and q - 1 is prime to p, so that power permutes the p-group
+    U_1/U_depth and the span: w^(q-1) is in the span exactly when w is."""
+    if not x.is_unit:
+        raise NonUnit("only units project to U_1")
+    return x ** (x.tower.residue.q - 1) in span
 
 
 def verify_depth_closure(p: int, alpha: int, k: int) -> bool:
@@ -203,6 +204,18 @@ def normalize_unit(u, p: int, prec: int) -> PadicInt:
     return u
 
 
+def _f0_n_alpha(p: int, n: int, alpha: int, d: int) -> int:
+    """n_alpha = n / phi(p^alpha), once F_0 = C_(p^alpha d) is checked to embed at
+    height n: phi(p^alpha) divides n and d divides p^n_alpha - 1 (ValueError if not)."""
+    e0 = euler_phi_prime_power(p, alpha)
+    if n % e0 or pow(p, n // e0, d) != 1 % d:
+        raise ValueError(
+            f"F_0 = C_(p^alpha d) does not embed at p = {p}, n = {n}, alpha = {alpha}, d = {d}:"
+            f" phi(p^alpha) = {e0} must divide n and d must divide p^(n/{e0}) - 1"
+        )
+    return n // e0
+
+
 def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
     """Is the class of epsilon_alpha/u trivial in Z_p(F_0)^x / <F_0, (Z_p(F_0)^x)^r1>?
 
@@ -215,9 +228,7 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
     check_params(p, n=n, d=d, r1=r1)
     if alpha < 1:
         raise ValueError("epsilon_test needs alpha >= 1")
-    n_alpha = n // euler_phi_prime_power(p, alpha)
-    if n % euler_phi_prime_power(p, alpha) or (p**n_alpha - 1) % d:
-        raise ValueError("d must divide p^(n_alpha) - 1")
+    n_alpha = _f0_n_alpha(p, n, alpha, d)
     if euler_phi_prime_power(p, alpha) % r1:
         raise ValueError("r1 must divide phi(p^alpha)")
     j, r_prime = split_p(r1, p)
@@ -231,7 +242,7 @@ def epsilon_test(p: int, n: int, alpha: int, d: int, u, r1: int) -> bool:
         return True
     quotient = FiltrationQuotient.standard(p, f, alpha, p**j)
     t = quotient.tower
-    x = epsilon_alpha(t) * t.from_int(u.val).invert()
+    x = epsilon_alpha(t).scale(pow(u.val, -1, t.mod))  # an integer's inverse mod p^prec is its tower inverse
     return membership(x, subgroup_span(quotient, p**j, include_mu_torsion=True))
 
 
@@ -263,9 +274,9 @@ def r1_max(p: int, n: int, alpha: int, d: int, u) -> R1Verdict:
     divisor-closed admissible set and the deciding theorem branch."""
     check_params(p, alpha, n=n, d=d)
     normalize_unit(u, p, 1)
+    n_alpha = _f0_n_alpha(p, n, alpha, d)
     if alpha == 0:
         return R1Verdict((1,), 1, "cor202-alpha0" if p > 2 else "alpha-le-1")
-    n_alpha = n // euler_phi_prime_power(p, alpha)
     if p == 2:
         if alpha <= 1:
             return R1Verdict((1,), 1, "alpha-le-1")
@@ -288,10 +299,9 @@ def r2_admissible(p: int, n: int, alpha: int, d: int, u, r1: int) -> R2Verdict:
     check_params(p, alpha, n=n, d=d, r1=r1)
     normalize_unit(u, p, 1)
     e0 = euler_phi_prime_power(p, alpha)
-    # [Q_p(F_0):Q_p] = e0 ord_d(p), so ord_d(p) must divide n / e0
-    if n % e0 or pow(p, n // e0, d) != 1 % d:
-        raise ValueError("[Q_p(F_0):Q_p] must divide n")
-    quota = n // (e0 * multiplicative_order(p, d, n // e0))
+    # [Q_p(F_0):Q_p] = e0 ord_d(p) divides n exactly when F_0 embeds
+    n_alpha = _f0_n_alpha(p, n, alpha, d)
+    quota = n_alpha // multiplicative_order(p, d, n_alpha)
     cap = p - 1 if p > 2 else 2
     bound = math.gcd(e0, cap)
     if bound % r1:

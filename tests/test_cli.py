@@ -97,6 +97,14 @@ REJECTED = [
     # a second mode flag was ignored: --abelian after --inner, --inner and --abelian after --scan
     ["classify", "--p", "3", "--n", "2", "--inner", "--abelian"],
     ["classify", "--scan", "--inner"],
+    # F_0 = C_(p^alpha d) does not embed (phi(p^alpha) must divide n, d must divide p^(n/phi) - 1): these answered
+    ["r1", "--p", "2", "--n", "3", "--alpha", "2", "--d", "5"],
+    ["r1", "--p", "2", "--n", "4", "--alpha", "2", "--d", "7"],
+    ["r1", "--p", "3", "--n", "3", "--alpha", "1", "--d", "2"],
+    ["r1", "--p", "2", "--n", "1", "--alpha", "0", "--d", "7"],
+    # a flag the chosen classify mode does not read was ignored
+    ["classify", "--scan", "--p", "5", "--n", "3", "--p-max", "2", "--n-max", "1"],
+    ["classify", "--p", "3", "--n", "1", "--inner", "--u-mod", "4", "--n-max", "9"],
 ]
 
 

@@ -15,7 +15,6 @@ from stabforge.unitclasses import (
     epsilon_test,
     is_kth_power,
     membership,
-    project_to_principal_units,
     r1_max,
     r2_admissible,
     subgroup_span,
@@ -119,7 +118,7 @@ def test_membership_agrees_with_enumeration_small(monkeypatch):
         span = subgroup_span(q, p, include_mu_torsion=True)
 
         def key(x):
-            return tuple(tuple(d) for d in project_to_principal_units(x).pi_digit_expansion(q.depth))
+            return tuple(tuple(d) for d in x.pi_digit_expansion(q.depth))
 
         gens = [t.zeta()] + [g**p for g in q.level_generators()]
         seen = {key(t.one()): t.one()}
@@ -144,6 +143,79 @@ def test_membership_agrees_with_enumeration_small(monkeypatch):
             assert membership(seen[y], span)
             x = seen[y] * (t.one() + t.pi() ** rng.randrange(1, q.depth))
             assert membership(x, span) == (key(x) in seen)
+
+
+def project_to_principal_units(x):
+    """The oracle: the U_1 part x / teich(residue of x) of a unit, by a Teichmueller
+    lift and an inverse, which membership replaces by the (q-1)-th power."""
+    return x * x.tower.teichmuller(x.residue_vector()).invert()
+
+
+# (p, alpha, f, k) with p in {2, 3, 5, 7}, alpha in {0, 1, 2}, f in {1, 2, 3}, k in {p, p^2}
+CORNERS = [(p, a, f, k) for p, a, f in itertools.product((2, 3, 5, 7), (0, 1, 2), (1, 2, 3)) for k in (p, p * p)]
+# the largest corners, left out where spans are built: each span pair takes 0.2-1.6 s
+SLOW_SPANS = {(7, 2, 2, 7), (7, 2, 2, 49), (7, 2, 3, 7), (7, 2, 3, 49), (5, 2, 3, 25)}
+
+
+def test_membership_agrees_with_the_teichmueller_projection():
+    # membership(x) decides x^(q-1) in span; the oracle projects x to U_1 and
+    # tests the projection.  Units are drawn with residue other than 1 wherever
+    # F_q^x is not trivial, so the torsion part is a real Teichmueller digit.
+    verdicts = []
+    for p, alpha, f, k in CORNERS:
+        if (p, alpha, f, k) in SLOW_SPANS:
+            continue
+        q = FiltrationQuotient.standard(p, f, alpha, k)
+        t = q.tower
+        rng = random.Random(f"{p}:{alpha}:{f}:{k}")
+
+        def unit():
+            while True:
+                x = FieldElem(t, [rng.randrange(t.mod) for _ in range(t.e * t.f)])
+                r = x.residue_vector()
+                if any(r) and (r != t.residue.one or t.residue.q == 2):
+                    return x
+
+        for mu in (False, True):
+            span = subgroup_span(q, k, include_mu_torsion=mu)
+            y = unit()
+            tail = t.one() + t.pi() ** rng.randrange(1, q.depth)
+            for x in (y, unit() * y**k, y**k * tail, y**k * t.zeta()):
+                want = project_to_principal_units(x) in span
+                assert membership(x, span) == want, (p, alpha, f, k, mu)
+                verdicts.append(want)
+    assert (len(verdicts), sum(verdicts)) == (536, 102)
+
+
+def _rank_mod_p(rows, p):
+    """The rank over F_p of integer row vectors, by Gaussian elimination."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                c = rows[i][col] * inv
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_level_generators_span_every_graded_piece():
+    # at each level 1 <= i < depth, the f generators lie in U_i and their
+    # leading residues have rank f over F_p, so they fill U_i/U_(i+1)
+    for p, alpha, f, k in CORNERS:
+        q = FiltrationQuotient.standard(p, f, alpha, k)
+        t = q.tower
+        gens = list(q.level_generators())
+        assert len(gens) == (q.depth - 1) * f
+        for level in range(1, q.depth):
+            leads = [g - t.one() for g in gens[(level - 1) * f : level * f]]
+            assert all(y.pi_level() == level for y in leads), (p, alpha, f, k, level)
+            assert _rank_mod_p([y.leading_residue(level) for y in leads], p) == f, (p, alpha, f, k, level)
 
 
 def test_epsilon_test_examples():

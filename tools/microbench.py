@@ -13,10 +13,11 @@ Times, in microseconds per operation:
              operands w_0 + w_a S^a + w_b S^b with a unit w_0, and invert at
              n = 6 and 12 on a dense operand (every coefficient drawn);
   SubgroupEchelon  reduce of a square y^2 (a member, so every level is
-             cleared) and insert of a unit 1 + pi y (with its p-th power
-             chain, into a copy of the echelon) against the span of
-             <zeta, U_1^2> in FiltrationQuotient.standard(2, 2, alpha, 2)
-             at e = 4, 16 and 64;
+             cleared), insert of a unit 1 + pi y (with its p-th power
+             chain, into a copy of the echelon), membership of beta y (a
+             residue other than 1, so its (q-1)-th power is taken) and one
+             full subgroup_span build, against the span of <zeta, U_1^2> in
+             FiltrationQuotient.standard(2, 2, alpha, 2) at e = 4, 16 and 64;
   smith_invariants  on seeded n x n integer matrices, entries in [-50, 50),
              at n = 4, 8 and 16.
 Each operation is called once untimed (building any per-tower table), then
@@ -40,7 +41,7 @@ sys.path.insert(0, os.path.abspath("src"))
 from stabforge.cohomology import smith_invariants  # noqa: E402
 from stabforge.localfield import FieldTower  # noqa: E402
 from stabforge.order import OrderElem, OrderParams  # noqa: E402
-from stabforge.unitclasses import FiltrationQuotient, SubgroupEchelon, subgroup_span  # noqa: E402
+from stabforge.unitclasses import FiltrationQuotient, SubgroupEchelon, membership, subgroup_span  # noqa: E402
 
 BATCH_S = 0.05
 
@@ -114,7 +115,13 @@ def echelon_ops(e):
         copy.insert(y)
 
     square = y * y
-    return {"reduce": lambda: span.reduce(square), "insert": insert}
+    unit = t.beta() * y  # residue X, not 1: membership takes its (q-1)-th power, q - 1 = 3
+    return {
+        "reduce": lambda: span.reduce(square),
+        "insert": insert,
+        "membership": lambda: membership(unit, span),
+        "subgroup_span": lambda: subgroup_span(quotient, 2, include_mu_torsion=True),
+    }
 
 
 def smith_op(n):
