@@ -286,10 +286,9 @@ def _cmd_expand(args):
 def _cmd_membership(args):
     quotient = unitclasses.FiltrationQuotient.standard(args.p, args.f, args.alpha, args.k)
     tower = quotient.tower
-    if args.elem is not None:
-        x = _parse_field_elem(tower, args.elem)
-    else:
-        x = epsilon_alpha(tower)
+    if args.elem is None and args.alpha < 1:
+        raise ValueError("membership at alpha = 0 needs --elem: its default, epsilon_alpha, needs alpha >= 1")
+    x = epsilon_alpha(tower) if args.elem is None else _parse_field_elem(tower, args.elem)
     u = unitclasses.normalize_unit(_parse_unit(args.u), args.p, tower.prec)
     x = x * tower.from_int(u.val).invert()
     span = unitclasses.subgroup_span(quotient, args.k, include_mu_torsion=not args.no_mu)

@@ -21,8 +21,8 @@ in U_(i+1).  p has pi-level e, so pi-level is e times the valuation normalized
 by v(p) = 1.
 
 The Galois action computed with is the Frobenius sigma, which fixes pi: the
-extended group twists by w -> w^sigma only.  FieldElem.galois_act(t) is
-sigma^t, one Z/p^prec-linear map per t mod f applied to each pi-row.
+extended group twists by w -> w^sigma only.  FieldElem.galois_act(t) maps each
+pi-row by the power t mod f of one matrix, built from one root sigma(beta).
 
 The residue field F_q = F_p[X]/(g), g = unramified_poly(p, f), is one
 ResidueField per tower (tower.residue).  Its elements, the residue vectors
@@ -41,7 +41,7 @@ import operator
 from functools import cached_property, lru_cache
 
 from .errors import IndeterminateAtPrecision, InsufficientPrecision, NonUnit
-from .intarith import check_params, mat_mul, prime_factors, split_p
+from .intarith import check_params, mat_identity, mat_mul, prime_factors, split_p
 
 
 def euler_phi_prime_power(p: int, alpha: int) -> int:
@@ -238,7 +238,6 @@ class FieldTower:
         else:
             self.q_coeffs = (-p, 1)  # pi = p when there is no ramification
         self._teich_cache = {}
-        self._frob_cache = {}  # t mod f -> the columns of sigma^t on a pi-row (FieldElem.galois_act)
 
     @classmethod
     def for_pi_prec(cls, p: int, f: int, alpha: int, n_pi: int) -> "FieldTower":
@@ -348,20 +347,28 @@ class FieldTower:
         self._teich_cache[residue] = x
         return x
 
-    def frobenius_beta(self, t: int) -> "FieldElem":
-        """sigma^t(beta): the root of the defining polynomial congruent to beta^(p^t)."""
-        t %= self.f
-        if t == 0:
-            return self.beta()
-        x = self.beta() ** (self.p**t)
-        gpoly = [c % self.mod for c in self.unram]
-        dpoly = [(j * gpoly[j]) % self.mod for j in range(1, len(gpoly))]
+    def frobenius_beta(self) -> "FieldElem":
+        """sigma(beta): the root of the defining polynomial congruent to beta^p."""
+        x = self.beta() ** self.p
+        dpoly = [j * c for j, c in enumerate(self.unram)][1:]
         for _ in range(self.prec.bit_length() + 3):  # each step doubles the p-adic precision
-            gx = _eval_poly(gpoly, x)
+            gx = _eval_poly(self.unram, x)
             if gx.is_zero:
                 return x
             x = x - gx * _eval_poly(dpoly, x).invert()
-        raise InsufficientPrecision(f"Newton root for the Frobenius image sigma^{t}(beta) did not converge")
+        raise InsufficientPrecision("Newton root for the Frobenius image sigma(beta) did not converge")
+
+    @cached_property
+    def _frobenius_powers(self):
+        """sigma^t on a pi-row for t < f, f x f matrices over Z/p^prec from one root:
+        row j of sigma is row 0 of sigma(beta)^j, and sigma^t = sigma^(t-1) sigma."""
+        img, powers = self.frobenius_beta(), [self.one()]
+        while len(powers) < self.f:
+            powers.append(powers[-1] * img)
+        out, sigma = [mat_identity(self.f)], [x.coeffs[: self.f] for x in powers]
+        while len(out) < self.f:
+            out.append([[a % self.mod for a in row] for row in mat_mul(out[-1], sigma)])
+        return out
 
 
 def _powers_mod(monic, count: int, m: int):
@@ -573,19 +580,11 @@ class FieldElem:
         """sigma^t, the t-th power of Frobenius: a ring automorphism that fixes pi
         and sends beta to sigma^t(beta).  The elements are the ring
         (Z/p^prec)[beta, pi]/(g, Q_alpha) and sigma^t(beta) lies in row 0, so
-        sigma^t maps each pi-row by one f x f matrix over Z/p^prec, whose column j
-        is row 0 of sigma^t(beta)^j; it is built once per tower and t mod f."""
+        sigma^t maps each pi-row by one f x f matrix over Z/p^prec, row j the image
+        of beta^j: the power t mod f of sigma's matrix (FieldTower._frobenius_powers)."""
         tw = self.tower
-        f, m = tw.f, tw.mod
-        cols = tw._frob_cache.get(t % f)
-        if cols is None:
-            img, power = tw.frobenius_beta(t), tw.one()
-            cols = [power.coeffs[:f]]
-            for _ in range(1, f):
-                power = power * img
-                cols.append(power.coeffs[:f])
-            tw._frob_cache[t % f] = cols
-        return FieldElem(tw, [a % m for row in mat_mul(self.grid, cols) for a in row])
+        m = tw.mod
+        return FieldElem(tw, [a % m for row in mat_mul(self.grid, tw._frobenius_powers[t % tw.f]) for a in row])
 
     def __repr__(self):
         f = self.tower.f

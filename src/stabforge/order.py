@@ -39,7 +39,7 @@ class OrderParams:
     def from_witt(self, w: FieldElem, s_power: int = 0) -> "OrderElem":
         coeffs = [self.witt.zero()] * self.n
         q, r = divmod(s_power, self.n)
-        coeffs[r] = w * self.witt.from_int((self.p * self.u.val) ** q) if q else w
+        coeffs[r] = w.scale((self.p * self.u.val) ** q) if q else w
         return OrderElem(self, 0, tuple(coeffs))
 
     def from_beta_coeffs(self, coeffs) -> "OrderElem":
@@ -182,7 +182,7 @@ class OrderElem:
             w = w.div_pi()  # exact division by p in W_n
         w_inv = w.invert()
         if i:  # (w S^i)^(-1) = (pu)^(-1) sigma^(n-i)(w^(-1)) S^(n-i)
-            w_inv = w_inv.galois_act(pa.n - i) * pa.witt.from_int(pa.u.val).invert()
+            w_inv = w_inv.galois_act(pa.n - i).scale(pow(pa.u.val, -1, pa.witt.mod))
         t_inv = OrderElem(pa, -self.shift - vp - (i > 0), pa.from_witt(w_inv, -i % pa.n).coeffs)
         return newton_inverse(self, t_inv, pa.one(), (pa.n * (pa.p_prec + 1) + 1).bit_length() + 1, shortest=True)
 
@@ -236,11 +236,11 @@ def embed_q8(params: OrderParams):
     t = params.witt
     rho = hensel_sqrt(PadicInt(2, params.p_prec, -7))
     w = t.omega()
-    third = t.from_int(3).invert()
-    rho_inv = t.from_int(rho.val).invert()
-    a = (t.one() + w.scale(2)) * third
-    b_i = (t.one() - w.scale(4)) * third * rho_inv
-    b_j = -(w + t.from_int(5)) * third * rho_inv
+    third = pow(3, -1, t.mod)
+    third_rho = third * pow(rho.val, -1, t.mod)
+    a = (t.one() + w.scale(2)).scale(third)
+    b_i = (t.one() - w.scale(4)).scale(third_rho)
+    b_j = -(w + t.from_int(5)).scale(third_rho)
     s = params.s()
     i = params.from_witt(a) + params.from_witt(b_i) * s
     j = params.from_witt(a) + params.from_witt(b_j) * s
@@ -256,8 +256,7 @@ def example049_elements(params: OrderParams):
     omega = params.omega()
     x = omega * params.s()
     z = x * x
-    half = params.witt.from_int(2).invert()
-    zeta3 = -(params.one() + z) * params.from_witt(half)
+    zeta3 = -(params.one() + z) * pow(2, -1, params.witt.mod)
     tau = omega**5
     return x, z, zeta3, tau
 

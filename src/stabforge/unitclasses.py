@@ -195,7 +195,7 @@ def normalize_unit(u, p: int, prec: int) -> PadicInt:
         if u.p != p:
             raise ValueError(f"unit literal '{u}' has prime {u.p}, expected p = {p}")
         if u.prec < prec:
-            raise InsufficientPrecision("unit precision too low for the requested test")
+            raise InsufficientPrecision(f"unit literal '{u}' has {u.prec} digits; the requested test needs {prec}")
         u = u.reduce(prec)
     else:
         u = PadicInt(p, prec, int(u))

@@ -134,10 +134,14 @@ def test_bad_input_message_names_the_argument(tmp_path):
         (["classify", "--p", "3", "--n", "-2"], "n must be >= 1, got -2"),
         (["classify", "--p", "3", "--n", "2", "--u-mod", "3"], "u_mod must be prime to p = 3, got 3 (read mod 9)"),
         (["verify", "q8.rel", "--n", "0"], "n must be >= 1, got 0"),
-        (["verify", "q8.rel", "--u", "p:2 [1,0]"], "unit precision too low for the requested test"),
+        (["verify", "q8.rel", "--u", "p:2 [1,0]"], "unit literal 'p:2 [1,0]' has 2 digits; the requested test needs 6"),
         (["verify", "q8.rel", "--p", "3", "--n", "2"], "line 3: unknown name 'rho'; defined here: S, omega"),
         (["verify", "q8.rel", "--p-prec", "0"], "--p-prec must be >= 1, got 0"),
         (["epsilon", "--p", "1", "--alpha", "2"], "p must be a prime, got 1"),
+        (
+            ["membership", "--p", "3", "--alpha", "0", "--k", "3"],
+            "membership at alpha = 0 needs --elem: its default, epsilon_alpha, needs alpha >= 1",
+        ),
         (
             ["r1", "--p", "3", "--n", "2", "--alpha", "1", "--d", "2", "--u", "p:3 [1,,2]"],
             "unit literal 'p:3 [1,,2]' has an empty digit",

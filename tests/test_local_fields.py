@@ -346,28 +346,51 @@ def eval_poly(coeffs, x):
     return acc
 
 
+def reference_frobenius_power(tw, t):
+    """sigma^t(beta) by its own Newton iteration x <- x - g(x)/g'(x) from
+    beta^(p^(t mod f)), run for twice the precision's digits: the root of g
+    congruent to beta^(p^t)."""
+    dg = [j * c for j, c in enumerate(tw.unram)][1:]
+    x = tw.beta() ** (tw.p ** (t % tw.f))
+    for _ in range(2 * tw.prec):
+        x = x - eval_poly(tw.unram, x) * eval_poly(dg, x).invert()
+    assert eval_poly(tw.unram, x).is_zero
+    return x
+
+
 def reference_galois_act(x, t):
     """sigma^t by substitution: sum c_ij sigma^t(beta)^j pi^i, with sigma^t(beta)
-    from frobenius_beta and pi fixed."""
+    from reference_frobenius_power and pi fixed."""
     tw = x.tower
-    beta_img = tw.frobenius_beta(t)
+    beta_img = reference_frobenius_power(tw, t)
     return eval_poly([eval_poly(row, beta_img) for row in x.grid], tw.pi())
 
 
-def random_towers_and_elements(seed, per_tower):
+def random_towers_and_elements(seed, per_tower, extra=()):
+    """per_tower seeded elements of each tower (p, f, alpha, 4) with p in (2, 3, 5),
+    alpha < 3 and f < 5, then of each tower with the parameters in extra."""
     rng = random.Random(seed)
-    for p in (2, 3, 5):
-        for alpha in range(3):
-            for f in range(1, 5):
-                t = FieldTower(p, f, alpha, 4)
-                for _ in range(per_tower):
-                    yield t, t.from_grid([[rng.randrange(t.mod) for _ in range(f)] for _ in range(t.e)])
+    towers = [FieldTower(p, f, alpha, 4) for p in (2, 3, 5) for alpha in range(3) for f in range(1, 5)]
+    for t in towers + [FieldTower(*args) for args in extra]:
+        for _ in range(per_tower):
+            yield t, t.from_grid([[rng.randrange(t.mod) for _ in range(t.f)] for _ in range(t.e)])
 
 
 def test_galois_act_matches_substitution():
-    for t, x in random_towers_and_elements(3, 3):
+    for t, x in random_towers_and_elements(3, 3, extra=[(2, 12, 0, 4)]):
         for s in range(-1, t.f + 1):
             assert x.galois_act(s) == reference_galois_act(x, s), (t.p, t.f, t.alpha, s)
+
+
+def test_galois_act_solves_one_frobenius_root_per_tower(monkeypatch):
+    calls = []
+    root = FieldTower.frobenius_beta
+    monkeypatch.setattr(FieldTower, "frobenius_beta", lambda *args: calls.append(args) or root(*args))
+    t = FieldTower(2, 6, 0, 4)
+    x = t.from_grid([list(range(1, 7))])
+    for s in range(-1, t.f + 1):
+        assert x.galois_act(s) == reference_galois_act(x, s)
+    assert len(calls) == 1
 
 
 def test_frobenius_has_order_f_and_is_a_ring_map():
@@ -489,10 +512,10 @@ def test_invert_raises_when_its_steps_run_out():
 
 def test_frobenius_beta_checks_its_root():
     t = FieldTower(3, 2, 0, 8)
-    t.frobenius_beta(1)  # leaves the Teichmueller lifts that invert needs in the cache
+    t.frobenius_beta()  # converges at the tower's precision
     t.prec = 0
     with pytest.raises(InsufficientPrecision, match="Frobenius"):
-        t.frobenius_beta(1)
+        t.frobenius_beta()
 
 
 @pytest.mark.parametrize("args", [(4, 1, 1, 4), (1, 1, 1, 4), (3, 0, 1, 4), (3, 1, -1, 4), (3, 1, 1, 0)])

@@ -9,6 +9,10 @@ elsewhere (`cd <checkout> && python3 <this checkout>/tools/microbench.py`).
 Times, in microseconds per operation:
   FieldElem  `*`, `+`, invert, div_pi, galois_act(1) and pi_level on
              FieldTower(2, 2, alpha, 8) at e = 4, 16 and 64 (alpha = 3, 5, 7);
+             galois_act(1) is warm: the untimed call builds sigma's matrices;
+  Frobenius build  cold: a fresh FieldTower(2, f, 0, 10) and galois_act(t) of
+             beta for every t < f, so each call solves the root sigma(beta)
+             and builds the powers of sigma, at f = 4, 8 and 12;
   OrderElem  `*` and invert at p = 3, p_prec 6 and n = 2, 4, 6 and 12, on
              operands w_0 + w_a S^a + w_b S^b with a unit w_0, and invert at
              n = 6 and 12 on a dense operand (every coefficient drawn);
@@ -81,6 +85,15 @@ def field_ops(e):
     }
 
 
+def frobenius_build(f):
+    def build():
+        x = FieldTower(2, f, 0, 10).beta()
+        for t in range(f):
+            x.galois_act(t)
+
+    return build
+
+
 def order_ops(n):
     params = OrderParams(3, n, p_prec=6)
     rng = random.Random(f"order:{n}")
@@ -140,6 +153,8 @@ def main(argv=None):
     for e in (4, 16, 64):
         for name, fn in field_ops(e).items():
             median[f"FieldElem.{name} e={e}"] = per_call_us(fn, args.repeat)
+    for f in (4, 8, 12):
+        median[f"Frobenius build f={f}"] = per_call_us(frobenius_build(f), args.repeat)
     for n in (2, 4, 6, 12):
         for name, fn in order_ops(n).items():
             median[f"OrderElem.{name} n={n}"] = per_call_us(fn, args.repeat)
